@@ -3,14 +3,16 @@
 Events fire in ``(time, priority, insertion order)`` order, which makes
 every simulation run bit-reproducible.  Simulated threads
 (:mod:`repro.sim.threads`) piggyback on the same queue: "resume thread T"
-is just an event action.
+is just an event action (:meth:`Kernel.resume`), and the only one a
+yielding thread may fire itself instead of ``run()``
+(:meth:`Kernel._hand_off`).
 """
 
 from __future__ import annotations
 
+import _thread
 import heapq
 import itertools
-import threading
 from typing import TYPE_CHECKING, Any, Callable
 
 from repro.errors import SchedulingError, SimulationError
@@ -151,10 +153,16 @@ class Kernel:
         # reaches zero: daemon ticks alone never keep the world alive.
         self._nondaemon_queued = 0
         self._seq = itertools.count()
-        self._baton = threading.Event()  # set by a sim thread yielding control
+        # Released by a sim thread yielding control back to run()'s
+        # caller; created held, so acquire() waits for that release.
+        self._baton = _thread.allocate_lock()
+        self._baton.acquire()
+        # One bound method, so a queued resume is recognised by identity.
+        self._transfer = self._transfer_to
         self._current: "SimThread | None" = None
         self._threads: list["SimThread"] = []
         self._running = False
+        self._until: float | None = None
         self._thread_failures: list["SimThread"] = []
         # Non-cancelled events executed, ever.  Deterministic under a
         # fixed seed, which makes it the noise-free work metric for
@@ -231,14 +239,49 @@ class Kernel:
 
     # -- execution ----------------------------------------------------------
 
-    def step(self) -> bool:
-        """Fire the next event.  Returns False if the queue is empty."""
-        while self._queue:
-            event = heapq.heappop(self._queue)
-            self._note_pop(event)
-            if event.cancelled:
+    def _pop(self, event: EventHandle) -> None:
+        """Dequeue the head ``event`` and account it as fired."""
+        heapq.heappop(self._queue)
+        self._note_pop(event)
+        self.clock.set(event.time)
+        self.events_processed += 1
+
+    def _due(self, until: float | None) -> EventHandle | None:
+        """The event :meth:`run` fires next, or None when it must stop.
+
+        Cancelled heads are dropped on the way.
+        """
+        queue = self._queue
+        while queue:
+            head = queue[0]
+            if head._cancelled:
+                heapq.heappop(queue)
+                self._note_pop(head)
                 continue
-            self.clock.set(event.time)
+            if until is not None and head.time > until:
+                return None
+            if until is None and self._nondaemon_queued == 0:
+                # Only daemon events (periodic telemetry ticks) remain
+                # and no time bound was given: the world's real work has
+                # drained.  With an explicit ``until`` the daemon ticks
+                # keep firing up to the bound.
+                return None
+            return head
+        return None
+
+    def step(self) -> bool:
+        """Fire the next event.  Returns False if the queue is empty.
+
+        Fires exactly one event: a resumed thread always yields back here,
+        never onward to the next thread (see :meth:`_hand_off`).
+        """
+        while self._queue:
+            event = self._queue[0]
+            if event._cancelled:
+                heapq.heappop(self._queue)
+                self._note_pop(event)
+                continue
+            self._pop(event)
             event._action(*event._args)
             self._raise_thread_failures()
             return True
@@ -256,25 +299,10 @@ class Kernel:
         if self._running:
             raise SimulationError("kernel.run() re-entered")
         self._running = True
+        self._until = until
         try:
-            while self._queue:
-                head = self._queue[0]
-                if head.cancelled:
-                    heapq.heappop(self._queue)
-                    self._note_pop(head)
-                    continue
-                if until is not None and head.time > until:
-                    break
-                if until is None and self._nondaemon_queued == 0:
-                    # Only daemon events (periodic telemetry ticks)
-                    # remain and no time bound was given: the world's
-                    # real work has drained.  With an explicit ``until``
-                    # the daemon ticks keep firing up to the bound.
-                    break
-                heapq.heappop(self._queue)
-                self._note_pop(head)
-                self.clock.set(head.time)
-                self.events_processed += 1
+            while (head := self._due(until)) is not None:
+                self._pop(head)
                 head._action(*head._args)
                 self._raise_thread_failures()
             if until is not None and self.now() < until:
@@ -304,14 +332,51 @@ class Kernel:
     def _register_thread(self, thread: "SimThread") -> None:
         self._threads.append(thread)
 
+    def resume(self, thread: "SimThread", delay: float = 0.0) -> EventHandle:
+        """Schedule ``thread`` to resume ``delay`` seconds from now."""
+        return self.schedule(delay, self._transfer, thread)
+
     def _transfer_to(self, thread: "SimThread") -> None:
-        """Event action: hand the baton to ``thread`` until it yields back."""
+        """Event action: hand the baton to ``thread`` until one yields back.
+
+        Resumes may chain from thread to thread (:meth:`_hand_off`); this
+        returns once the chain reaches an event only run() may fire.
+        """
         previous = self._current
         self._current = thread
-        self._baton.clear()
-        thread._resume.set()
-        self._baton.wait()
+        thread._resume.release()
+        self._baton.acquire()
         self._current = previous
+
+    def _hand_off(self, thread: "SimThread") -> bool:
+        """Pass the baton on from ``thread``, which is yielding.
+
+        When the event :meth:`run` would fire next is a resume, ``thread``
+        fires it itself, exactly as a run() iteration would, and wakes
+        the target directly: one OS switch instead of a round trip
+        through run()'s caller.  Any other event — a plain action, a
+        daemon tick — goes back to run()'s caller, and so do anything
+        past ``until``, a pending thread failure and a yield outside
+        run(), e.g. under :meth:`step`.  So every action but a resume
+        runs on run()'s calling OS thread, where thread-group identity
+        and span stacks are OS-thread-local state.
+
+        Returns True when the next resume is ``thread``'s own: it keeps
+        the baton and runs on.  Otherwise the baton has moved and the
+        caller must not touch shared state again until it is resumed.
+        """
+        if self._running and not self._thread_failures:
+            head = self._due(self._until)
+            if head is not None and head._action is self._transfer:
+                self._pop(head)
+                target = head._args[0]
+                self._current = target
+                if target is thread:
+                    return True
+                target._resume.release()
+                return False
+        self._baton.release()
+        return False
 
     def _note_thread_failure(self, thread: "SimThread") -> None:
         self._thread_failures.append(thread)

@@ -45,7 +45,7 @@ class SimEvent:
         self._payload = payload
         waiters, self._waiters = self._waiters, []
         for thread in waiters:
-            self._kernel.schedule(0.0, self._kernel._transfer_to, thread)
+            self._kernel.resume(thread)
 
     def wait(self) -> Any:
         """Block until the event is set; returns the payload."""
@@ -100,7 +100,7 @@ class Semaphore:
         if self._waiters:
             thread = self._waiters.popleft()
             # Token passes straight to the waiter; count stays 0.
-            self._kernel.schedule(0.0, self._kernel._transfer_to, thread)
+            self._kernel.resume(thread)
         else:
             self._tokens += 1
 
@@ -197,7 +197,7 @@ class BlockingQueue:
             waiter = self._getters.popleft()
             waiter.item = item
             waiter.filled = True
-            self._kernel.schedule(0.0, self._kernel._transfer_to, waiter.thread)
+            self._kernel.resume(waiter.thread)
             return True
         if self.full:
             return False
@@ -224,7 +224,7 @@ class BlockingQueue:
             # capacity reached with consumers absent: take straight
             # from the oldest blocked producer.
             thread, item = self._putters.popleft()
-            self._kernel.schedule(0.0, self._kernel._transfer_to, thread)
+            self._kernel.resume(thread)
             return True, item
         return False, None
 
@@ -246,7 +246,7 @@ class BlockingQueue:
         if self._putters and not self.full:
             thread, item = self._putters.popleft()
             self._items.append(item)
-            self._kernel.schedule(0.0, self._kernel._transfer_to, thread)
+            self._kernel.resume(thread)
 
     # -- interruption support -------------------------------------------------
 

@@ -1,12 +1,16 @@
 """Simulated threads: plain blocking Python under a deterministic scheduler.
 
 Each :class:`SimThread` is a real OS thread, but *exactly one* thread (the
-kernel's or one simulated thread) runs at any instant; control moves via a
-baton (a pair of ``threading.Event`` handshakes).  Blocking operations —
+one that called :meth:`Kernel.run` or one simulated thread) runs at any
+instant.  Control moves via a baton: every thread owns a raw lock, created
+held, and is handed the baton by releasing it.  Blocking operations —
 ``sleep``, synchronization primitives in :mod:`repro.sim.sync`, ``join`` —
-park the thread and schedule its wake-up as an ordinary kernel event, so
-execution order is a pure function of the event queue and is reproducible
-run-to-run.
+park the thread and schedule its wake-up as an ordinary kernel event
+(:meth:`Kernel.resume`), so execution order is a pure function of the
+event queue and is reproducible run-to-run.  A yielding thread whose next
+queued event is another thread's resume fires it and wakes that thread
+directly (:meth:`Kernel._hand_off`); every other event action still runs
+on the OS thread that called ``run()``.
 
 This is the substrate for Ajanta's protection-domain identification: the
 server runs every visiting agent in its own (group of) simulated threads,
@@ -16,6 +20,7 @@ in?" to decide which protection domain a request comes from (section 5.3).
 
 from __future__ import annotations
 
+import _thread
 import enum
 import threading
 from typing import Any, Callable, Protocol
@@ -99,7 +104,8 @@ class SimThread:
         self.context: dict[str, Any] = context if context is not None else {}
         self._target = target
         self._on_error = on_error
-        self._resume = threading.Event()
+        self._resume = _thread.allocate_lock()  # released to hand us the baton
+        self._resume.acquire()
         self._interrupt_exc: BaseException | None = None
         self._waiting_on: WaitTarget | None = None
         self._joiners: list["SimThread"] = []
@@ -116,12 +122,11 @@ class SimThread:
             raise AgentStateError(f"thread {self.name!r} already started")
         self.state = ThreadState.READY
         self._os_thread.start()
-        self.kernel.schedule(delay, self.kernel._transfer_to, self)
+        self.kernel.resume(self, delay)
         return self
 
     def _bootstrap(self) -> None:
-        self._resume.wait()
-        self._resume.clear()
+        self._resume.acquire()
         self.state = ThreadState.RUNNING
         try:
             self.result = self._target()
@@ -136,17 +141,19 @@ class SimThread:
             self.state = ThreadState.DONE
         finally:
             self._wake_joiners()
-            self.kernel._baton.set()
+            # Finished: no resume of ours is queued, so this cannot
+            # return True (keep the baton).
+            self.kernel._hand_off(self)
 
     def _wake_joiners(self) -> None:
         joiners, self._joiners = self._joiners, []
         for joiner in joiners:
-            self.kernel.schedule(0.0, self.kernel._transfer_to, joiner)
+            self.kernel.resume(joiner)
 
     # -- blocking (called from inside the thread itself) ------------------------
 
     def _block(self, waiting_on: WaitTarget | None = None) -> None:
-        """Park this thread and give the baton back to the kernel.
+        """Park this thread and pass the baton on (:meth:`Kernel._hand_off`).
 
         Only callable from the thread itself.  Something must already have
         arranged a future wake-up (scheduled event or waiter-list entry).
@@ -154,9 +161,8 @@ class SimThread:
         assert self.kernel.current_thread() is self, "block called off-thread"
         self.state = ThreadState.BLOCKED
         self._waiting_on = waiting_on
-        self.kernel._baton.set()
-        self._resume.wait()
-        self._resume.clear()
+        if not self.kernel._hand_off(self):
+            self._resume.acquire()
         self._waiting_on = None
         self.state = ThreadState.RUNNING
         if self._interrupt_exc is not None:
@@ -165,7 +171,7 @@ class SimThread:
 
     def sleep(self, duration: float) -> None:
         """Block for ``duration`` seconds of virtual time."""
-        handle = self.kernel.schedule(duration, self.kernel._transfer_to, self)
+        handle = self.kernel.resume(self, duration)
         self._block(_SleepTarget(handle))
 
     def join(self, *, reraise: bool = True) -> Any:
@@ -212,7 +218,7 @@ class SimThread:
             # would hand the baton to a thread that has since finished.
             self._waiting_on._remove_waiter(self)
             self._waiting_on = None
-            self.kernel.schedule(0.0, self.kernel._transfer_to, self)
+            self.kernel.resume(self)
 
     def kill(self) -> None:
         """Terminate the thread at its next blocking point."""
