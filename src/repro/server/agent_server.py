@@ -74,7 +74,11 @@ from repro.server.journal import (
     DepartureRecord,
 )
 from repro.server.membership import FailureDetector, MembershipConfig
-from repro.server.recovery import RecoveryConfig, RecoveryCoordinator
+from repro.server.recovery import (
+    RecoveryConfig,
+    RecoveryCoordinator,
+    directory_vetoes,
+)
 from repro.server.supervisor import ResourceSupervisor, SupervisorConfig
 from repro.sim.kernel import Kernel
 from repro.sim.monitor import Counter, TimeWeighted
@@ -405,23 +409,12 @@ class AgentServer:
         """Kill a resident that overstayed its welcome (section 2: DoS)."""
         if not thread.is_alive or self._threads.get(domain_id) is not thread:
             return  # already departed/completed/terminated
-        thread.kill()
-        with self.domain_db.privileged():
-            if domain_id in self.domain_db:
-                self.domain_db.set_status(domain_id, "terminated")
-                _revoke_holder_tokens(self.domain_db.get(domain_id).domain)
-        self.registry.remove_ephemeral_of(domain_id)
-        self._threads.pop(domain_id, None)
-        image = self._resident_images.pop(domain_id, None)
-        self._instances.pop(domain_id, None)
-        self._occupancy.update(self.clock.now(), len(self._threads))
+        self.terminate_resident(domain_id)
         self.stats.add("agents_killed_lifetime")
         self.audit.record(
             domain_id, "agent.lifetime_limit", "", False,
             f"exceeded {self.resident_lifetime_limit}s residency",
         )
-        if self.recovery is not None and image is not None:
-            self.recovery.on_resident_gone(image, "terminated")
 
     def _update_name_service(self, image: AgentImage) -> None:
         token = image.attributes.get("ns_token")
@@ -626,21 +619,21 @@ class AgentServer:
         try:
             reply = self._offer_image(outgoing, destination)
         except CircuitOpenError as exc:
-            self._journal.resolve(transfer_id, "breaker-open")
+            self._journal.resolve(transfer_id)
             self.stats.add("transfers_failed_breaker")
             return destination, str(exc)
         except ReproError as exc:
-            self._journal.resolve(transfer_id, "failed")
+            self._journal.resolve(transfer_id)
             self.stats.add("transfers_failed_exhausted")
             return destination, str(exc)
         if reply.get("status") != "accepted":
-            self._journal.resolve(transfer_id, "refused")
+            self._journal.resolve(transfer_id)
             self.stats.add("transfers_refused_remote")
             return (
                 destination,
                 f"refused by {destination}: {reply.get('reason', '?')}",
             )
-        self._journal.resolve(transfer_id, "accepted")
+        self._journal.resolve(transfer_id)
         self.stats.add("transfers_out")
         self._retire(domain, "departed", f"to {destination}")
         self._settle_bill(image, domain)
@@ -702,6 +695,31 @@ class AgentServer:
             describe=f"transfer to {destination}",
         )
 
+    def _offer_first(
+        self, image: AgentImage, targets: list[str], **attributes: Any
+    ) -> str | None:
+        """Offer ``image`` to each target in turn; the first to accept wins.
+
+        Each offer is a fresh handoff (re-homing, drain): sealed for that
+        target and stamped with a new transfer id plus ``attributes``.
+        Returns the accepting target, or None when every target refused
+        or was unreachable.  Must run in a simulated thread.
+        """
+        for target in targets:
+            offer = image
+            if self.integrity is not None:
+                offer = self.integrity.seal_departure(offer, target)
+            offer = offer.with_attributes(
+                transfer_id=self._transfer_ids.next(), **attributes
+            )
+            try:
+                reply = self._offer_image(offer, target)
+            except ReproError:
+                continue
+            if reply.get("status") == "accepted":
+                return target
+        return None
+
     def _handle_completion(
         self, image: AgentImage, domain: ProtectionDomain, result: Any
     ) -> None:
@@ -754,29 +772,60 @@ class AgentServer:
             self.stats.add("reports_failed")
 
     def _retire(self, domain: ProtectionDomain, status: str, detail: str) -> None:
-        with self.domain_db.privileged():
-            if domain.domain_id in self.domain_db:
-                self.domain_db.set_status(domain.domain_id, status)
-        # Ephemeral self-registrations (mailboxes) die with the agent;
-        # installed services (section 5.5) persist.
-        self.registry.remove_ephemeral_of(domain.domain_id)
         # A terminated or completed agent's capability tokens die with it
         # (one holder-epoch bump reaches copies on every server).  A
         # *departing* agent keeps its tokens — surviving migration is the
         # point of carrying them.
-        if status != "departed":
-            _revoke_holder_tokens(domain)
+        image = self._teardown(
+            domain.domain_id, status, revoke=status != "departed"
+        )
         self.audit.record(domain.domain_id, "agent.retire", status, True, detail)
-        self._threads.pop(domain.domain_id, None)
-        image = self._resident_images.pop(domain.domain_id, None)
-        self._instances.pop(domain.domain_id, None)
-        self._occupancy.update(self.clock.now(), len(self._threads))
-        if self.supervisor is not None:
-            self.supervisor.forget_domain(domain.domain_id)
         if self.recovery is not None and image is not None:
             # Tell the home site to drop the escrow of a finished agent
             # (a departed one is superseded by the next host instead).
             self.recovery.on_resident_gone(image, status)
+
+    def _kill_group(self, domain_id: str) -> bool:
+        """Kill a resident's main thread, then every live worker.
+
+        The whole thread *group* dies: workers the agent spawned
+        (section 5.3: same group) must not survive it.  Returns False
+        when nothing of the resident was alive.
+        """
+        thread = self._threads.get(domain_id)
+        victims = [thread] if thread is not None and thread.is_alive else []
+        if domain_id in self.domain_db:
+            group = self.domain_db.get(domain_id).domain.thread_group
+            victims += [t for t in group.live_threads() if t is not thread]
+        for victim in victims:
+            if victim.is_alive:
+                victim.kill()
+        return bool(victims)
+
+    def _teardown(
+        self, domain_id: str, status: str, *, revoke: bool
+    ) -> AgentImage | None:
+        """End a resident's protection domain; returns its admitted image.
+
+        Every way a residency ends (retirement, eviction, termination,
+        crash, drain) undoes the same bookkeeping here.  Callers keep
+        their own audit record and tell the recovery plane, if at all.
+        """
+        with self.domain_db.privileged():
+            if domain_id in self.domain_db:
+                self.domain_db.set_status(domain_id, status)
+                if revoke:
+                    _revoke_holder_tokens(self.domain_db.get(domain_id).domain)
+        # Ephemeral self-registrations (mailboxes) die with the agent;
+        # installed services (section 5.5) persist.
+        self.registry.remove_ephemeral_of(domain_id)
+        self._threads.pop(domain_id, None)
+        self._instances.pop(domain_id, None)
+        image = self._resident_images.pop(domain_id, None)
+        self._occupancy.update(self.clock.now(), len(self._threads))
+        if self.supervisor is not None:
+            self.supervisor.forget_domain(domain_id)
+        return image
 
     # ------------------------------------------------------------------
     # Reports
@@ -1070,32 +1119,9 @@ class AgentServer:
         the control handler checks the home site, the agent environment
         checks creator identity.
         """
-        thread = self._threads.get(domain_id)
-        # The whole thread *group* dies, not just the resident's main
-        # thread: workers it spawned (section 5.3: same group) must not
-        # survive their agent.
-        group_threads: list[SimThread] = []
-        if domain_id in self.domain_db:
-            record = self.domain_db.get(domain_id)
-            group_threads = record.domain.thread_group.live_threads()
-        if (thread is None or not thread.is_alive) and not group_threads:
+        if not self._kill_group(domain_id):
             return False
-        if thread is not None and thread.is_alive:
-            thread.kill()
-        for worker in group_threads:
-            if worker is not thread and worker.is_alive:
-                worker.kill()
-        with self.domain_db.privileged():
-            if domain_id in self.domain_db:
-                self.domain_db.set_status(domain_id, "terminated")
-                _revoke_holder_tokens(self.domain_db.get(domain_id).domain)
-        self.registry.remove_ephemeral_of(domain_id)
-        self._threads.pop(domain_id, None)
-        image = self._resident_images.pop(domain_id, None)
-        self._instances.pop(domain_id, None)
-        self._occupancy.update(self.clock.now(), len(self._threads))
-        if self.supervisor is not None:
-            self.supervisor.forget_domain(domain_id)
+        image = self._teardown(domain_id, "terminated", revoke=True)
         if self.recovery is not None and image is not None:
             self.recovery.on_resident_gone(image, "terminated")
         return True
@@ -1118,22 +1144,11 @@ class AgentServer:
         self.audit.record(self.name, "server.crash", "", False, "simulated crash")
         for domain_id, thread in list(self._threads.items()):
             if thread.is_alive:
-                thread.kill()
                 self.stats.add("agents_killed_crash")
-            if domain_id in self.domain_db:
-                for worker in self.domain_db.get(
-                    domain_id
-                ).domain.thread_group.live_threads():
-                    if worker is not thread and worker.is_alive:
-                        worker.kill()
-            with self.domain_db.privileged():
-                if domain_id in self.domain_db:
-                    self.domain_db.set_status(domain_id, "terminated")
-            self.registry.remove_ephemeral_of(domain_id)
-        self._threads.clear()
-        self._instances.clear()
-        self._resident_images.clear()
-        self._occupancy.update(self.clock.now(), 0)
+            self._kill_group(domain_id)
+            # Neither revoke tokens nor retire the escrow: re-homing
+            # relaunches the agent from that escrow, tokens and all.
+            self._teardown(domain_id, "terminated", revoke=False)
         # Aux threads die with the host: a heartbeat round, checkpoint
         # push, drain worker or leftover recovery re-offer from an
         # earlier restart must not keep acting (or holding in-flight
@@ -1215,37 +1230,17 @@ class AgentServer:
         ):
             self._recover(record)
 
-    def _recovery_superseded(self, record: DepartureRecord) -> bool:
-        """Directory veto for restart recovery: is this journal entry stale?
-
-        While this server was dead, the home site's escrow re-homing may
-        already have relaunched the journaled agent elsewhere (death is
-        confirmed faster than a long outage ends).  The directory is
-        updated at every admission, so a registered location that is
-        neither this server nor the journaled destination proves a newer
-        residency exists — re-offering would fork the agent.  An
-        unregistered name means the agent already finished or was
-        tombstoned: equally not ours to resurrect.  An unreachable
-        directory is no veto (availability over precision; the dedup
-        table still absorbs the same-destination case).
-        """
-        if self.name_service is None:
-            return False
-        try:
-            entry = self.name_service.lookup(record.image.name)
-        except UnknownNameError:
-            return True
-        except (NamingError, NetworkError, ReproError):
-            return False
-        location = getattr(entry, "location", None)
-        return location is not None and location not in (
-            self.name, record.destination,
-        )
-
     def _recover(self, record: DepartureRecord) -> None:
         self.stats.add("recoveries_attempted")
-        if self._recovery_superseded(record):
-            self._journal.resolve(record.transfer_id, "recovered-superseded")
+        # While this server was dead, the home site's escrow re-homing
+        # may already have relaunched the agent elsewhere: a directory
+        # location other than here or the journaled destination means a
+        # newer residency exists, and re-offering would fork the agent.
+        if directory_vetoes(
+            self.name_service, record.image.name,
+            (self.name, record.destination),
+        ):
+            self._journal.resolve(record.transfer_id)
             self.stats.add("recoveries_superseded")
             self.audit.record(
                 self.name, "atp.recover", str(record.image.name), True,
@@ -1258,7 +1253,7 @@ class AgentServer:
         except ReproError:
             reply = None
         if reply is not None and reply.get("status") == "accepted":
-            self._journal.resolve(record.transfer_id, "recovered-delivered")
+            self._journal.resolve(record.transfer_id)
             self.stats.add("recoveries_delivered")
             with self.domain_db.privileged():
                 if record.domain_id in self.domain_db:
@@ -1270,7 +1265,7 @@ class AgentServer:
             return
         image = record.image.with_attributes(returned_home=True)
         if image.home_site == self.name:
-            self._journal.resolve(record.transfer_id, "recovered-home-local")
+            self._journal.resolve(record.transfer_id)
             self.stats.add("recoveries_returned_home")
             self.audit.record(
                 self.name, "atp.recover", str(image.name), True,
@@ -1294,14 +1289,14 @@ class AgentServer:
         except ReproError:
             reply = None
         if reply is not None and reply.get("status") == "accepted":
-            self._journal.resolve(record.transfer_id, "recovered-returned-home")
+            self._journal.resolve(record.transfer_id)
             self.stats.add("recoveries_returned_home")
             self.audit.record(
                 self.name, "atp.recover", str(image.name), True,
                 f"returned to home site {image.home_site} after crash",
             )
             return
-        self._journal.resolve(record.transfer_id, "stranded")
+        self._journal.resolve(record.transfer_id)
         self.stats.add("recovery_stranded")
         self.audit.record(
             self.name, "atp.recover", str(image.name), False,
@@ -1348,14 +1343,18 @@ class AgentServer:
             return  # already gone
         image = self._resident_images.get(domain_id)
         instance = self._instances.get(domain_id)
-        if thread.is_alive:
-            thread.kill()
+        self._kill_group(domain_id)
         thread.join(reraise=False)
         if self._threads.get(domain_id) is not thread:
             # The resident retired itself on the way out (its departure
             # or completion won the race against the kill): nothing of
             # it is left here to migrate.
             return
+
+        def drained(status: str, detail: str) -> None:
+            self._teardown(domain_id, status, revoke=status != "departed")
+            self.audit.record(domain_id, "agent.drain", status, True, detail)
+
         record = next(
             (r for r in self._journal.pending() if r.domain_id == domain_id),
             None,
@@ -1365,18 +1364,12 @@ class AgentServer:
             # journaled in-flight image exactly like crash recovery does
             # (same transfer id, so a landed pre-kill offer dedups).
             self.stats.add("agents_killed_drain")
-            self._drop_resident(
-                domain_id, "departed",
-                f"drained via journal to {record.destination}", revoke=False,
-            )
+            drained("departed", f"drained via journal to {record.destination}")
             self._recover(record)
             return
         if image is None or instance is None:
             self.stats.add("agents_killed_drain")
-            self._drop_resident(
-                domain_id, "terminated", "drain: no image to migrate",
-                revoke=True,
-            )
+            drained("terminated", "drain: no image to migrate")
             return
         try:
             state = instance.capture_state()
@@ -1388,34 +1381,18 @@ class AgentServer:
             if self.recovery is not None
             else []
         )
-        for target in targets:
-            offer = outgoing
-            if self.integrity is not None:
-                offer = self.integrity.seal_departure(offer, target)
-            offer = offer.with_attributes(
-                transfer_id=self._transfer_ids.next()
-            )
-            try:
-                reply = self._offer_image(offer, target)
-            except ReproError:
-                continue
-            if reply.get("status") != "accepted":
-                continue
+        target = self._offer_first(outgoing, targets)
+        if target is not None:
             # Accounting-wise an ordinary departure: hosted here once,
             # transferred out once, hosted again at the target.
             self.stats.add("transfers_out")
             self.stats.add("drained_out")
-            self._drop_resident(
-                domain_id, "departed", f"drained to {target}", revoke=False
-            )
+            drained("departed", f"drained to {target}")
             return
         # Nobody would take it: the agent stays, the drain failed for it.
         self.stats.add("agents_killed_drain")
         self.stats.add("drain_failed")
-        self._drop_resident(
-            domain_id, "departed", "drain failed: relaunched locally",
-            revoke=False,
-        )
+        drained("departed", "drain failed: relaunched locally")
         self.audit.record(
             domain_id, "server.drain", str(image.name), False,
             "no survivor accepted; agent relaunched locally",
@@ -1426,25 +1403,6 @@ class AgentServer:
         relaunch = image.with_state(state, image.entry_method)
         self.admission.validate(relaunch)
         self._start_resident(relaunch)
-
-    def _drop_resident(
-        self, domain_id: str, status: str, detail: str, *, revoke: bool
-    ) -> None:
-        """Inline retire bookkeeping for a resident whose thread the
-        server itself killed (drain paths — mirrors :meth:`_retire`)."""
-        with self.domain_db.privileged():
-            if domain_id in self.domain_db:
-                self.domain_db.set_status(domain_id, status)
-                if revoke:
-                    _revoke_holder_tokens(self.domain_db.get(domain_id).domain)
-        self.registry.remove_ephemeral_of(domain_id)
-        self._threads.pop(domain_id, None)
-        self._instances.pop(domain_id, None)
-        self._resident_images.pop(domain_id, None)
-        self._occupancy.update(self.clock.now(), len(self._threads))
-        if self.supervisor is not None:
-            self.supervisor.forget_domain(domain_id)
-        self.audit.record(domain_id, "agent.drain", status, True, detail)
 
     # ------------------------------------------------------------------
     # Operator reporting

@@ -31,7 +31,7 @@ semantics over an at-most-once transport:
 from __future__ import annotations
 
 import collections
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Hashable
 
 from repro.agents.transfer import AgentImage
@@ -89,8 +89,6 @@ class DepartureRecord:
     destination: str
     domain_id: str
     recorded_at: float
-    # How recovery disposed of it (for audit/tests); "" while in flight.
-    outcome: str = field(default="")
 
 
 class DepartureJournal:
@@ -98,8 +96,6 @@ class DepartureJournal:
 
     def __init__(self) -> None:
         self._records: dict[str, DepartureRecord] = {}
-        self.recorded_total = 0
-        self.resolved_total = 0
 
     def record(
         self,
@@ -117,16 +113,11 @@ class DepartureJournal:
             recorded_at=now,
         )
         self._records[transfer_id] = record
-        self.recorded_total += 1
         return record
 
-    def resolve(self, transfer_id: str, outcome: str = "") -> DepartureRecord | None:
+    def resolve(self, transfer_id: str) -> DepartureRecord | None:
         """Remove a record on a terminal outcome; returns it (or None)."""
-        record = self._records.pop(transfer_id, None)
-        if record is not None:
-            record.outcome = outcome
-            self.resolved_total += 1
-        return record
+        return self._records.pop(transfer_id, None)
 
     def pending(self) -> list[DepartureRecord]:
         """In-flight departures, oldest first."""
@@ -158,7 +149,6 @@ class AgentCheckpoint:
     location: str
     seq: tuple[int, float]
     recorded_at: float
-    status: str = "active"
 
 
 class CheckpointStore:
@@ -166,9 +156,6 @@ class CheckpointStore:
 
     def __init__(self) -> None:
         self._checkpoints: dict[str, AgentCheckpoint] = {}
-        self.accepted_total = 0
-        self.stale_total = 0
-        self.retired_total = 0
 
     def put(
         self,
@@ -181,7 +168,6 @@ class CheckpointStore:
         """Store a checkpoint unless a newer one is already held."""
         current = self._checkpoints.get(agent)
         if current is not None and current.seq >= seq:
-            self.stale_total += 1
             return False
         self._checkpoints[agent] = AgentCheckpoint(
             agent=agent,
@@ -190,7 +176,6 @@ class CheckpointStore:
             seq=seq,
             recorded_at=now,
         )
-        self.accepted_total += 1
         return True
 
     def get(self, agent: str) -> AgentCheckpoint | None:
@@ -198,11 +183,7 @@ class CheckpointStore:
 
     def retire(self, agent: str) -> AgentCheckpoint | None:
         """Drop an agent's checkpoint (it completed or went home)."""
-        checkpoint = self._checkpoints.pop(agent, None)
-        if checkpoint is not None:
-            checkpoint.status = "retired"
-            self.retired_total += 1
-        return checkpoint
+        return self._checkpoints.pop(agent, None)
 
     def at(self, location: str) -> list[AgentCheckpoint]:
         """Active checkpoints whose agents were last seen at ``location``."""

@@ -51,7 +51,7 @@ vetoes the sweep.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any
+from typing import Any, Collection
 
 from repro.agents.integrity import COMMITMENT_ATTRIBUTE
 from repro.agents.itinerary import ItineraryCommitment
@@ -66,10 +66,42 @@ from repro.naming.urn import URN
 from repro.sim.monitor import Counter
 from repro.util.serialization import canonical_digest, decode, encode
 
-__all__ = ["CHECKPOINT_APP_KIND", "RecoveryConfig", "RecoveryCoordinator"]
+__all__ = [
+    "CHECKPOINT_APP_KIND",
+    "RecoveryConfig",
+    "RecoveryCoordinator",
+    "directory_vetoes",
+]
 
 # The one-way secure-channel application kind checkpoint traffic rides.
 CHECKPOINT_APP_KIND = "cluster.checkpoint"
+
+
+def directory_vetoes(
+    name_service: Any, agent: URN, allowed: Collection[str]
+) -> bool:
+    """The one directory veto both recovery planes consult.
+
+    Journal recovery (``allowed`` = the restarted sender and the
+    journaled destination) and escrow re-homing (``allowed`` = the dead
+    host) each ask: does a newer residency exist?  The directory is
+    updated at every admission, before any escrow push, so a location
+    outside ``allowed`` proves one does, and an unregistered name means
+    the agent finished or was tombstoned.  Either way, relaunching would
+    fork or resurrect it.  An unreachable directory or a ``None``
+    location is no veto (availability over precision; transfer-id dedup
+    and the finished-agent checks still hold the line).
+    """
+    if name_service is None:
+        return False
+    try:
+        entry = name_service.lookup(agent)
+    except UnknownNameError:
+        return True
+    except (NamingError, NetworkError, ReproError):
+        return False
+    location = getattr(entry, "location", None)
+    return location is not None and location not in allowed
 
 
 @dataclass(frozen=True, slots=True)
@@ -472,30 +504,31 @@ class RecoveryCoordinator:
             self.store.retire(agent)
             self.stats.add("rehomes_vetoed_finished")
             return
-        if not self._directory_confirms(checkpoint.image, dead):
+        image = checkpoint.image
+        if directory_vetoes(server.name_service, image.name, (dead,)):
             self.stats.add("rehomes_vetoed_stale")
             return
         self.store.retire(agent)
-        image = checkpoint.image
-        placed = self._place(image, dead, confirmed_at)
-        if placed:
+        # Home becomes a relay hop: its own link in the chain lets the
+        # survivor's arrival appraisal pass (tip origin == sender).
+        target = server._offer_first(
+            image.with_hop(server.name),
+            self.pick_targets(image, exclude={dead}),
+            rehomed=True,
+        )
+        if target is not None:
+            self.stats.add("rehomes_placed")
+            self._rehomed(
+                agent, dead, target, confirmed_at,
+                f"re-homed to {target} after {dead} died",
+            )
             return
         # Every survivor refused or is unreachable: the agent runs here.
         try:
             server.admission.validate(image)
-            server.stats.add("agents_rehomed")
             self.stats.add("rehomes_local")
-            self.rehome_log.append(
-                {
-                    "agent": agent,
-                    "dead": dead,
-                    "target": server.name,
-                    "confirmed_at": confirmed_at,
-                    "relaunched_at": self.clock.now(),
-                }
-            )
-            server.audit.record(
-                server.name, "recovery.rehome", agent, True,
+            self._rehomed(
+                agent, dead, server.name, confirmed_at,
                 f"relaunched at home after {dead} died",
             )
             server._start_resident(image)
@@ -525,29 +558,23 @@ class RecoveryCoordinator:
             for report in server.reports
         )
 
-    def _directory_confirms(self, image: AgentImage, dead: str) -> bool:
-        """Best-effort directory veto: skip if the agent moved on.
-
-        The directory is updated at every admission *before* the escrow
-        push, so it is at least as fresh as any checkpoint — if it
-        places the agent anywhere but the dead host, a newer residency
-        exists and this checkpoint is stale.  An unreachable directory
-        is not a veto (availability over precision; the transfer-id
-        dedup and finished-agent checks still hold the line).
-        """
-        name_service = self.server.name_service
-        if name_service is None:
-            return True
-        try:
-            record = name_service.lookup(image.name)
-        except UnknownNameError:
-            # Unregistered: the owner reclaimed the name — do not raise
-            # the dead.
-            return False
-        except (NamingError, NetworkError, ReproError):
-            return True
-        location = getattr(record, "location", None)
-        return location is None or location == dead
+    def _rehomed(
+        self, agent: str, dead: str, target: str, confirmed_at: float,
+        detail: str,
+    ) -> None:
+        """Book one successful re-home (stats, latency log, audit)."""
+        server = self.server
+        server.stats.add("agents_rehomed")
+        self.rehome_log.append(
+            {
+                "agent": agent,
+                "dead": dead,
+                "target": target,
+                "confirmed_at": confirmed_at,
+                "relaunched_at": self.clock.now(),
+            }
+        )
+        server.audit.record(server.name, "recovery.rehome", agent, True, detail)
 
     def pick_targets(self, image: AgentImage, exclude: set[str]) -> list[str]:
         """Load-aware placement: planned stops, best survivor first.
@@ -578,51 +605,6 @@ class RecoveryCoordinator:
             candidates.append(stop_server)
         load = membership.load_of if membership is not None else (lambda _n: 0.0)
         return sorted(candidates, key=lambda name: (load(name), name))
-
-    def _place(
-        self, image: AgentImage, dead: str, confirmed_at: float
-    ) -> bool:
-        """Offer the escrow to survivors; True once somebody accepted."""
-        server = self.server
-        targets = self.pick_targets(image, exclude={dead})
-        if not targets:
-            return False
-        # Home becomes a relay hop: its own link in the chain lets the
-        # survivor's arrival appraisal pass (tip origin == sender).
-        relayed = image.with_hop(server.name)
-        for target in targets:
-            outgoing = relayed
-            if server.integrity is not None:
-                outgoing = server.integrity.seal_departure(outgoing, target)
-            outgoing = outgoing.with_attributes(
-                transfer_id=server._transfer_ids.next(), rehomed=True
-            )
-            self.stats.add("rehome_offers")
-            try:
-                reply = server._offer_image(outgoing, target)
-            except ReproError:
-                self.stats.add("rehome_offers_failed")
-                continue
-            if reply.get("status") != "accepted":
-                self.stats.add("rehome_offers_refused")
-                continue
-            server.stats.add("agents_rehomed")
-            self.stats.add("rehomes_placed")
-            self.rehome_log.append(
-                {
-                    "agent": str(image.name),
-                    "dead": dead,
-                    "target": target,
-                    "confirmed_at": confirmed_at,
-                    "relaunched_at": self.clock.now(),
-                }
-            )
-            server.audit.record(
-                server.name, "recovery.rehome", str(image.name), True,
-                f"re-homed to {target} after {dead} died",
-            )
-            return True
-        return False
 
     def _tombstone(self, image: AgentImage) -> None:
         """Reclaim the directory entry of an unrecoverable agent."""

@@ -12,14 +12,20 @@ from __future__ import annotations
 
 import pytest
 
-from repro.agents.agent import register_trusted_agent_class
+from repro.agents.agent import Agent, register_trusted_agent_class
 from repro.agents.itinerary import Itinerary
 from repro.agents.patterns import ItineraryAgent
+from repro.apps.buffer import Buffer
+from repro.core.policy import PolicyRule, SecurityPolicy
 from repro.credentials.rights import Rights
 from repro.errors import TransferError
+from repro.naming.urn import URN
 from repro.obs.slo import healed_conservation_residual
+from repro.server.supervisor import SupervisorConfig
 from repro.server.testbed import Testbed
 from repro.util.retry import RetryPolicy
+
+GUARDED = "urn:resource:site0.net/guarded"
 
 
 @register_trusted_agent_class
@@ -39,6 +45,25 @@ class DrainTourist(ItineraryAgent):
     def finish(self):
         self.host.report_home({"visited": self.visited})
         self.complete({"visited": self.visited})
+
+
+@register_trusted_agent_class
+class WorkerTourist(DrainTourist):
+    """Leaves a worker sleeping in its thread group at every stop."""
+
+    def visit(self, stop):
+        self.host.spawn_thread(lambda: self.host.sleep(10_000.0))
+        super().visit(stop)
+
+
+@register_trusted_agent_class
+class GuardedSleeper(Agent):
+    """One supervised resource call (which opens a watch), then a nap."""
+
+    def run(self):
+        self.host.get_resource(GUARDED).put("x")
+        self.host.sleep(60.0)
+        self.complete()
 
 
 def bed_of(n=3, seed=61):
@@ -88,6 +113,44 @@ def test_drain_migrates_residents_and_they_complete_elsewhere():
     assert healed_conservation_residual(bed.servers)() == 0
     drains = s1.audit.records(operation="agent.drain")
     assert len(drains) == 2
+
+
+def test_drain_kills_the_residents_workers():
+    bed = bed_of(seed=65)
+    s0, s1, s2 = bed.servers
+    agent = WorkerTourist()
+    agent.itinerary = Itinerary.tour([s1.name, s2.name])
+    image = bed.launch(agent, Rights.all())
+    bed.kernel.schedule(2.0, s1.drain)
+    # Stop well before the workers' own sleeps would end them.
+    bed.run(until=300.0, detect_deadlock=False)
+    assert s1.stats["drained_out"] == 1
+    [record] = s1.domain_db.records_of(image.name)
+    assert record.domain.thread_group.live_threads() == []
+
+
+def test_crash_forgets_supervisor_watches():
+    bed = Testbed(1, supervision=SupervisorConfig())
+    home = bed.home
+    home.install_resource(
+        Buffer(
+            URN.parse(GUARDED),
+            URN.parse("urn:principal:site0.net/o"),
+            SecurityPolicy(
+                rules=[PolicyRule("any", "*", Rights.of("Buffer.*"), confine=False)]
+            ),
+        )
+    )
+    bed.launch(GuardedSleeper(), Rights.all())
+    bed.faults().crash(home, at=5.0, restart_at=10.0)
+    bed.run(until=4.0, detect_deadlock=False)
+    assert len(home.supervisor._watches) == 1
+    bed.run(until=7.0, detect_deadlock=False)
+    assert home.stats["agents_killed_crash"] == 1
+    assert home.supervisor._watches == {}
+    bed.run(until=20.0, detect_deadlock=False)
+    assert home.stats["restarts"] == 1
+    assert home.supervisor._watches == {}
 
 
 def test_draining_server_refuses_new_admissions_typed():

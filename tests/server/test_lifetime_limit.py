@@ -3,9 +3,14 @@
 from __future__ import annotations
 
 from repro.agents.agent import Agent, register_trusted_agent_class
-from repro.core.policy import SecurityPolicy
+from repro.apps.buffer import Buffer
+from repro.core.policy import PolicyRule, SecurityPolicy
 from repro.credentials.rights import Rights
+from repro.naming.urn import URN
+from repro.server.supervisor import SupervisorConfig
 from repro.server.testbed import Testbed
+
+GUARDED = "urn:resource:site0.net/guarded"
 
 
 @register_trusted_agent_class
@@ -13,6 +18,26 @@ class Squatter(Agent):
     """Sleeps far longer than any reasonable residency."""
 
     def run(self):
+        self.host.sleep(10_000.0)
+        self.complete("finally")
+
+
+@register_trusted_agent_class
+class SquatterWithWorker(Agent):
+    """Leaves a worker in its thread group sleeping forever."""
+
+    def run(self):
+        self.host.spawn_thread(lambda: self.host.sleep(10_000.0))
+        self.host.sleep(10_000.0)
+        self.complete("finally")
+
+
+@register_trusted_agent_class
+class GuardedSquatter(Agent):
+    """One supervised resource call (which opens a watch), then a squat."""
+
+    def run(self):
+        self.host.get_resource(GUARDED).put("x")
         self.host.sleep(10_000.0)
         self.complete("finally")
 
@@ -33,6 +58,40 @@ def test_squatter_is_evicted():
     assert bed.home.stats["agents_killed_lifetime"] == 1
     denial = bed.home.audit.records(operation="agent.lifetime_limit")
     assert denial and not denial[0].allowed
+
+
+def test_eviction_kills_the_squatters_workers():
+    bed = Testbed(1, server_kwargs={"resident_lifetime_limit": 60.0})
+    image = bed.launch(SquatterWithWorker(), Rights.all())
+    # Stop well before the worker's own sleep would end it.
+    bed.run(until=120.0, detect_deadlock=False)
+    assert bed.home.stats["agents_killed_lifetime"] == 1
+    record = bed.home.domain_db.by_agent(image.name)
+    assert record.domain.thread_group.live_threads() == []
+
+
+def test_eviction_forgets_the_supervisor_watch():
+    bed = Testbed(
+        1,
+        supervision=SupervisorConfig(),
+        server_kwargs={"resident_lifetime_limit": 60.0},
+    )
+    bed.home.install_resource(
+        Buffer(
+            URN.parse(GUARDED),
+            URN.parse("urn:principal:site0.net/o"),
+            SecurityPolicy(
+                rules=[PolicyRule("any", "*", Rights.of("Buffer.*"), confine=False)]
+            ),
+        )
+    )
+    image = bed.launch(GuardedSquatter(), Rights.all())
+    bed.run(until=30.0, detect_deadlock=False)
+    domain_id = bed.home.domain_db.by_agent(image.name).domain_id
+    assert domain_id in bed.home.supervisor._watches
+    bed.run(until=120.0, detect_deadlock=False)
+    assert bed.home.stats["agents_killed_lifetime"] == 1
+    assert domain_id not in bed.home.supervisor._watches
 
 
 def test_well_behaved_agents_unaffected():

@@ -13,13 +13,19 @@ incarnation number moved.
 
 from __future__ import annotations
 
+from types import SimpleNamespace
+
+import pytest
+
 from repro.agents.agent import Agent, register_trusted_agent_class
 from repro.agents.itinerary import Itinerary
 from repro.agents.patterns import ItineraryAgent
 from repro.credentials.rights import Rights
+from repro.errors import NetworkError, UnknownNameError
+from repro.naming.urn import URN
 from repro.net.adversary import Adversary
 from repro.obs.slo import healed_conservation_residual
-from repro.server.recovery import CHECKPOINT_APP_KIND
+from repro.server.recovery import CHECKPOINT_APP_KIND, directory_vetoes
 from repro.server.testbed import Testbed
 from repro.sim.threads import SimThread
 from repro.util.retry import RetryPolicy
@@ -248,6 +254,56 @@ def test_journal_recovery_is_vetoed_when_agent_was_rehomed_meanwhile():
     assert statuses.count("completed") == 1
     assert statuses.count("running") == 0
     assert healed_conservation_residual(bed.servers)() == 0
+
+
+# -- the one directory veto both recovery planes consult ----------------------
+
+
+class StubDirectory:
+    """Answers every lookup with one location, or raises one error."""
+
+    def __init__(self, answer) -> None:
+        self.answer = answer
+        self.lookups = 0
+
+    def lookup(self, name):
+        self.lookups += 1
+        if isinstance(self.answer, Exception):
+            raise self.answer
+        return SimpleNamespace(location=self.answer)
+
+
+NO_DIRECTORY = object()
+
+# Journal recovery allows the restarted sender and the journaled
+# destination; re-homing allows only the dead host.
+ALLOWED = {"journal": ("s1", "s2"), "rehome": ("s1",)}
+
+VETO_TABLE = [
+    # (case, directory answer, {caller: vetoed})
+    ("no name service", NO_DIRECTORY, {"journal": False, "rehome": False}),
+    ("unknown name", UnknownNameError("gone"), {"journal": True, "rehome": True}),
+    ("unreachable", NetworkError("down"), {"journal": False, "rehome": False}),
+    ("in the allowed set", "s1", {"journal": False, "rehome": False}),
+    ("journaled destination", "s2", {"journal": False, "rehome": True}),
+    ("elsewhere", "s3", {"journal": True, "rehome": True}),
+    ("no location", None, {"journal": False, "rehome": False}),
+]
+
+
+@pytest.mark.parametrize("caller", sorted(ALLOWED))
+@pytest.mark.parametrize(
+    "answer, expected", [row[1:] for row in VETO_TABLE],
+    ids=[row[0] for row in VETO_TABLE],
+)
+def test_directory_veto_table(caller, answer, expected):
+    agent = URN.parse("urn:agent:site0.net/a")
+    if answer is NO_DIRECTORY:
+        assert directory_vetoes(None, agent, ALLOWED[caller]) is expected[caller]
+        return
+    directory = StubDirectory(answer)
+    assert directory_vetoes(directory, agent, ALLOWED[caller]) is expected[caller]
+    assert directory.lookups == 1
 
 
 def test_checkpoint_probe_reports_residency():
