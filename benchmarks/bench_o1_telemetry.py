@@ -125,16 +125,6 @@ def federation_report(n_servers: int = N_SERVERS,
             and not k.startswith("telemetry.")
         )
 
-    # Histogram observations land on each server's own telemetry unit
-    # (the omniscient registry only absorbs counters), so ground truth
-    # is the sum over per-server snapshots.
-    omni_hist_mass = sum(
-        state["count"]
-        for server in bed.servers
-        for key, state in server.telemetry.snapshot().histograms.items()
-        if not key.startswith("telemetry.")
-    )
-
     latency = bed.collector.cluster.histogram("telemetry.scrape_latency_ns")
     return {
         "servers": n_servers,
@@ -145,7 +135,7 @@ def federation_report(n_servers: int = N_SERVERS,
         "federated_total": sum(fed_counters.values()),
         "omniscient_total": sum(omni_counters.values()),
         "hist_mass_federated": hist_mass(federated),
-        "hist_mass_omniscient": omni_hist_mass,
+        "hist_mass_omniscient": hist_mass(omniscient),
         "scrape_p99_ns": latency.quantile(0.99) if latency.count else 0.0,
         "cluster_snapshot": bed.collector.cluster_snapshot(),
     }

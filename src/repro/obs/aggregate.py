@@ -1,14 +1,14 @@
 """Federated metrics: per-host telemetry units and the cluster collector.
 
-PR 3's :class:`~repro.obs.metrics.MetricsRegistry` sees one process —
-the testbed registers every server's counters into a single omniscient
-registry.  A federation of thousands of servers has no such registry:
-each host only knows its own numbers.  This module closes the gap the
-way Prometheus federation does:
+A federation of thousands of servers has no omniscient registry: each
+host only knows its own numbers.  This module gathers them the way
+Prometheus federation does:
 
-* every host owns a :class:`TelemetryUnit` — a local registry plus the
-  host's identifying labels — and serves *cumulative* snapshots of it
-  over the authenticated ``telemetry.scrape`` secure-channel op;
+* every host owns a :class:`TelemetryUnit` — a
+  :class:`~repro.obs.metrics.MetricsRegistry` stamped with the host's
+  identifying labels, where each of the host's counter sources is
+  registered once — and serves *cumulative* snapshots of it over the
+  authenticated ``telemetry.scrape`` secure-channel op;
 * a :class:`TelemetryCollector` pulls those snapshots (kernel-scheduled
   scrape rounds on a daemon tick, or hop-by-hop via the touring
   :class:`CollectorAgent`) and materializes one cluster-level registry.
@@ -30,7 +30,7 @@ from __future__ import annotations
 
 import json
 import math
-from typing import Any, Callable, Iterable, Mapping
+from typing import Any, Iterable, Mapping
 
 from repro.errors import ReproError
 from repro.obs.metrics import Histogram, MetricsRegistry
@@ -167,69 +167,56 @@ def snapshot_delta(old: MetricSnapshot, new: MetricSnapshot) -> dict[str, Any]:
         if now != was:
             out[key] = {"was": was, "now": now}
     for key in sorted(set(old.histograms) | set(new.histograms)):
-        was_state = old.histograms.get(key)
         now_state = new.histograms.get(key)
         if now_state is None:
             continue
-        was_count = was_state["count"] if was_state is not None else 0
-        delta = now_state["count"] - was_count
-        if delta < 0:  # restarted source
-            delta = now_state["count"]
-        if delta:
-            out[key] = {"observations": delta}
+        n = sum(_hist_delta(old.histograms.get(key), now_state)[0])
+        if n:
+            out[key] = {"observations": n}
     return out
 
 
-class TelemetryUnit:
+def _hist_delta(
+    seen: Mapping[str, Any] | None, now: Mapping[str, Any]
+) -> tuple[list[int], float]:
+    """Bucket counts and total that ``now`` adds over ``seen``.
+
+    Both are :meth:`Histogram.state` dicts of one source.  A first sight,
+    or any bucket below its last-seen count (the source restarted),
+    counts all of ``now``; counts and total share that one decision.
+    """
+    counts = now["counts"]
+    if seen is not None and all(
+        c >= s for c, s in zip(counts, seen["counts"])
+    ):
+        return (
+            [c - s for c, s in zip(counts, seen["counts"])],
+            now["total"] - seen["total"],
+        )
+    return list(counts), now["total"]
+
+
+class TelemetryUnit(MetricsRegistry):
     """One host's local metrics namespace, served over the secure channel.
 
-    The federated twin of the testbed's omniscient registry: the same
-    lazy ``register_source`` absorption (zero per-increment cost on the
-    owning hot paths), but scoped to one host and stamped with that
-    host's identifying labels (``server=``, or ``node=``/``shard=`` for
-    directory replicas).  ``bind`` installs the ``telemetry.scrape``
-    responder; serving a scrape is a read-only flatten, safe to run in
-    the secure host's dispatch context.
+    A :class:`MetricsRegistry` whose constant labels identify the host
+    (``server=``, or ``node=``/``shard=`` for directory replicas): the
+    same lazy ``register_source`` absorption (zero per-increment cost on
+    the owning hot paths), scoped to one host.  Every counter source is
+    registered exactly once, here, on the host that owns it.  ``bind``
+    installs the ``telemetry.scrape`` responder; serving a scrape is a
+    read-only flatten, safe to run in the secure host's dispatch context.
     """
 
     def __init__(self, origin: str, clock: Any, **labels: Any) -> None:
+        super().__init__(**labels)
         self.origin = origin
         self.clock = clock
-        self.labels = dict(labels)
-        self.registry = MetricsRegistry()
-
-    # -- instrumentation surface (host-label stamped) -----------------------
-
-    def _merged(self, labels: dict[str, Any]) -> dict[str, Any]:
-        if not labels:
-            return self.labels
-        merged = dict(self.labels)
-        merged.update(labels)
-        return merged
-
-    def register_source(self, prefix: str, source: Any, **labels: Any) -> None:
-        self.registry.register_source(prefix, source, **self._merged(labels))
-
-    def inc(self, name: str, amount: int = 1, **labels: Any) -> None:
-        self.registry.inc(name, amount, **self._merged(labels))
-
-    def gauge(
-        self, name: str, fn: Callable[[], float] | None = None, **labels: Any
-    ):
-        return self.registry.gauge(name, fn, **self._merged(labels))
-
-    def histogram(
-        self, name: str, bounds: Iterable[float] | None = None, **labels: Any
-    ) -> Histogram:
-        return self.registry.histogram(name, bounds, **self._merged(labels))
-
-    def observe(self, name: str, value: float, **labels: Any) -> None:
-        self.histogram(name, **labels).observe(value)
 
     # -- serving ------------------------------------------------------------
 
     def snapshot(self) -> MetricSnapshot:
-        return MetricSnapshot.of(self.registry, self.origin, self.clock.now())
+        return MetricSnapshot.of(self, self.origin, self.clock.now())
 
     def serve(self, peer: str, body: bytes) -> bytes:
         """The ``telemetry.scrape`` app handler (request body is ignored)."""
@@ -271,10 +258,11 @@ class TelemetryCollector:
         self.timeout = timeout
         self.cluster = MetricsRegistry()
         self.stats = Counter()
-        self.last_snapshots: dict[str, MetricSnapshot] = {}
-        # Per-target last-seen cumulative values (delta baselines).
+        # Per-target last-seen cumulative values (delta baselines); a
+        # histogram's whole state is kept, so its bucket counts and total
+        # diff against the same baseline.
         self._last_counters: dict[str, dict[str, int | float]] = {}
-        self._last_hist_counts: dict[str, dict[str, list[int]]] = {}
+        self._last_hists: dict[str, dict[str, dict[str, Any]]] = {}
         self._ticker = None
         self._round_thread = None
 
@@ -342,60 +330,31 @@ class TelemetryCollector:
         last = self._last_counters.setdefault(key, {})
         for name, value in snapshot.counters.items():
             seen = last.get(name, 0)
-            delta = value - seen if value >= seen else value
             last[name] = value
-            # Materialize the cell even at delta 0 so a federated scrape
+            # A delta of 0 still creates the key, so a federated scrape
             # carries the same (possibly zero-valued) keys as an
             # omniscient one.
-            cell = self.cluster.counter(name)
-            cell.value += delta
+            self.cluster.inc(name, value - seen if value >= seen else value)
         for name, value in snapshot.gauges.items():
             self.cluster.gauge(name).set(value)
-        last_hists = self._last_hist_counts.setdefault(key, {})
+        last_hists = self._last_hists.setdefault(key, {})
         for name, state in snapshot.histograms.items():
-            observed = Histogram.from_state(state)
-            seen_counts = last_hists.get(name)
-            if seen_counts is not None and all(
-                c >= s for c, s in zip(observed.counts, seen_counts)
-            ):
-                delta_counts = [
-                    c - s for c, s in zip(observed.counts, seen_counts)
-                ]
-            else:  # first sight, or a restarted source
-                delta_counts = list(observed.counts)
-            last_hists[name] = list(observed.counts)
-            n = sum(delta_counts)
+            counts, total = _hist_delta(last_hists.get(name), state)
+            last_hists[name] = state
+            n = sum(counts)
             if n == 0:
                 continue
-            cell = self.cluster.histogram(name, bounds=observed.bounds)
-            delta = Histogram.from_state(
+            # Extrema fold in monotonically (cluster min/max are historical).
+            self.cluster.histogram(name, bounds=state["bounds"]).merge(
                 {
-                    "bounds": list(observed.bounds),
-                    "counts": delta_counts,
+                    "bounds": state["bounds"],
+                    "counts": counts,
                     "count": n,
-                    # Cumulative totals diff like counters; extrema fold
-                    # in monotonically (cluster min/max are historical).
-                    "total": observed.total
-                    - (self._hist_total(key, name, observed.total)),
-                    "min": observed.min,
-                    "max": observed.max,
+                    "total": total,
+                    "min": state["min"],
+                    "max": state["max"],
                 }
             )
-            cell.merge(delta)
-        self.last_snapshots[key] = snapshot
-
-    def _hist_total(self, key: str, name: str, observed_total: float) -> float:
-        prior = self.last_snapshots.get(key)
-        if prior is None:
-            return 0.0
-        state = prior.histograms.get(name)
-        if state is None:
-            return 0.0
-        prior_total = float(state["total"])
-        prior_counts = self._last_hist_counts.get(key, {}).get(name)
-        if prior_counts is None:
-            return 0.0
-        return prior_total if prior_total <= observed_total else 0.0
 
     # -- periodic operation ---------------------------------------------------
 

@@ -7,7 +7,9 @@ its own object with its own names.  :class:`MetricsRegistry` pulls them
 behind one namespace without touching their hot paths: a registered
 *source* is read lazily at :meth:`scrape` time (zero per-increment cost),
 while first-class counters, gauges and histograms are for new
-instrumentation (proxy invocation latency, deny counts).
+instrumentation (proxy invocation latency, deny counts).  First-class
+counters live in one :class:`repro.sim.monitor.Counter` keyed by
+``name{labels}``, so the repo has a single counter type.
 
 Naming follows Prometheus conventions loosely: a metric is
 ``name{label=value,...}`` with labels sorted, e.g.
@@ -23,8 +25,10 @@ from __future__ import annotations
 from bisect import bisect_left
 from typing import Any, Callable, Iterable, Mapping
 
+from repro.sim.monitor import Counter
+
 __all__ = [
-    "Counter", "Gauge", "Histogram", "MetricsRegistry", "render_scrape",
+    "Gauge", "Histogram", "MetricsRegistry", "render_scrape",
 ]
 
 
@@ -33,20 +37,6 @@ def _label_suffix(labels: Mapping[str, Any]) -> str:
         return ""
     inner = ",".join(f"{k}={labels[k]}" for k in sorted(labels))
     return "{" + inner + "}"
-
-
-class Counter:
-    """A monotonically increasing count (one registry cell)."""
-
-    __slots__ = ("value",)
-
-    def __init__(self) -> None:
-        self.value = 0
-
-    def inc(self, amount: int = 1) -> None:
-        if amount < 0:
-            raise ValueError("counters only increase")
-        self.value += amount
 
 
 class Gauge:
@@ -196,33 +186,38 @@ class Histogram:
 class MetricsRegistry:
     """Counters, gauges, histograms and absorbed legacy sources.
 
-    One registry per world (the :class:`~repro.server.testbed.Testbed`
-    builds one); ``scrape()`` flattens everything into a single dict —
-    the text renderer is what benchmarks print.
+    ``labels`` are constant labels stamped onto every key the registry
+    holds (a host's ``server=``, or ``node=``/``shard=`` for a directory
+    replica); per-call labels add to them.  The suffix is computed once,
+    so an unlabelled call on a labelled registry costs one concatenation.
+    ``scrape()`` flattens everything into a single dict — the text
+    renderer is what benchmarks print.
     """
 
-    def __init__(self) -> None:
-        self._counters: dict[str, Counter] = {}
+    def __init__(self, **labels: Any) -> None:
+        self.labels = labels
+        self._suffix = _label_suffix(labels)
+        self._counters = Counter()
         self._gauges: dict[str, Gauge] = {}
         self._histograms: dict[str, Histogram] = {}
-        # (prefix, labels suffix) -> object with as_dict()
+        # (prefix, labels suffix, object with as_dict())
         self._sources: list[tuple[str, str, Any]] = []
+
+    def _key(self, name: str, labels: dict[str, Any]) -> str:
+        if not labels:
+            return name + self._suffix
+        if self.labels:
+            labels = {**self.labels, **labels}
+        return name + _label_suffix(labels)
 
     # -- first-class instruments ------------------------------------------
 
-    def counter(self, name: str, **labels: Any) -> Counter:
-        key = name + _label_suffix(labels)
-        cell = self._counters.get(key)
-        if cell is None:
-            cell = self._counters[key] = Counter()
-        return cell
-
     def inc(self, name: str, amount: int = 1, **labels: Any) -> None:
-        self.counter(name, **labels).inc(amount)
+        self._counters.add(self._key(name, labels), amount)
 
     def gauge(self, name: str, fn: Callable[[], float] | None = None,
               **labels: Any) -> Gauge:
-        key = name + _label_suffix(labels)
+        key = self._key(name, labels)
         cell = self._gauges.get(key)
         if cell is None:
             cell = self._gauges[key] = Gauge(fn)
@@ -230,11 +225,14 @@ class MetricsRegistry:
 
     def histogram(self, name: str, bounds: Iterable[float] | None = None,
                   **labels: Any) -> Histogram:
-        key = name + _label_suffix(labels)
+        key = self._key(name, labels)
         cell = self._histograms.get(key)
         if cell is None:
             cell = self._histograms[key] = Histogram(bounds)
         return cell
+
+    def observe(self, name: str, value: float, **labels: Any) -> None:
+        self.histogram(name, **labels).observe(value)
 
     # -- absorbing legacy per-object counters ------------------------------
 
@@ -248,7 +246,7 @@ class MetricsRegistry:
         """
         if not hasattr(source, "as_dict"):
             raise TypeError(f"metrics source {source!r} has no as_dict()")
-        self._sources.append((prefix, _label_suffix(labels), source))
+        self._sources.append((prefix, self._key("", labels), source))
 
     # -- snapshot support (repro.obs.aggregate) ----------------------------
 
@@ -276,8 +274,8 @@ class MetricsRegistry:
                     gauges[key] = value
                 else:
                     counters[key] = counters.get(key, 0) + value
-        for key, counter in self._counters.items():
-            counters[key] = counters.get(key, 0) + counter.value
+        for key, value in self._counters.as_dict().items():
+            counters[key] = counters.get(key, 0) + value
         for key, gauge in self._gauges.items():
             gauges[key] = gauge.value
         return counters, gauges, dict(self._histograms)
@@ -286,15 +284,9 @@ class MetricsRegistry:
 
     def scrape(self) -> dict[str, Any]:
         """Everything, flattened: ``{"name{labels}": value-or-summary}``."""
-        out: dict[str, Any] = {}
-        for prefix, suffix, source in self._sources:
-            for name, value in source.as_dict().items():
-                out[f"{prefix}.{name}{suffix}"] = value
-        for key, counter in self._counters.items():
-            out[key] = counter.value
-        for key, gauge in self._gauges.items():
-            out[key] = gauge.value
-        for key, hist in self._histograms.items():
+        counters, gauges, cells = self.flatten()
+        out: dict[str, Any] = {**counters, **gauges}
+        for key, hist in cells.items():
             out[key] = hist.summary()
         return out
 

@@ -137,16 +137,10 @@ class AgentServer:
         self.clock = kernel.clock
         self.audit = AuditLog(self.clock, capacity=audit_capacity)
         self.stats = Counter()
-        # ``transfers_failed`` used to double-count (bumped alongside
-        # ``transfer_breaker_fastfail``); it is now a computed alias over
-        # the two distinct causes, so old readers keep working and new
-        # readers can tell a breaker fast-fail from exhausted retries.
-        self.stats.alias(
-            "transfers_failed",
-            "transfers_failed_breaker",
-            "transfers_failed_exhausted",
-        )
-        self.stats.alias("transfer_breaker_fastfail", "transfers_failed_breaker")
+        # ``transfers_failed`` is bumped beside exactly one of its causes
+        # (``transfers_failed_breaker`` / ``transfers_failed_exhausted``);
+        # it exists from the start so every scrape carries the total.
+        self.stats.add("transfers_failed", 0)
         self.name_service = name_service
         self.transfer_timeout = transfer_timeout
         # Exactly-once handoff machinery: retry schedule, per-destination
@@ -257,10 +251,10 @@ class AgentServer:
         self.secure.bind_app("agent.report", self._on_report)
 
         # Cluster telemetry: this host's locally served metrics
-        # namespace (the federated twin of the testbed's omniscient
-        # registry).  Sources are read lazily at scrape time, so none of
-        # this touches the enforcement hot path; the ``telemetry.scrape``
-        # op rides the same mutually authenticated channels as transfers.
+        # namespace, where each of its counter sources is registered
+        # once.  Sources are read lazily at scrape time, so none of this
+        # touches the enforcement hot path; the ``telemetry.scrape`` op
+        # rides the same mutually authenticated channels as transfers.
         self.telemetry = TelemetryUnit(name, self.clock, server=name)
         self.telemetry.register_source("server", self.stats)
         self.telemetry.register_source("endpoint", self.endpoint.stats)
@@ -620,10 +614,12 @@ class AgentServer:
             reply = self._offer_image(outgoing, destination)
         except CircuitOpenError as exc:
             self._journal.resolve(transfer_id)
+            self.stats.add("transfers_failed")
             self.stats.add("transfers_failed_breaker")
             return destination, str(exc)
         except ReproError as exc:
             self._journal.resolve(transfer_id)
+            self.stats.add("transfers_failed")
             self.stats.add("transfers_failed_exhausted")
             return destination, str(exc)
         if reply.get("status") != "accepted":

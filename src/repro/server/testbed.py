@@ -26,7 +26,7 @@ from repro.naming.registry import NameService
 from repro.naming.urn import URN
 from repro.net.network import Network
 from repro.obs import runtime as _obs
-from repro.obs.metrics import MetricsRegistry
+from repro.obs.metrics import MetricsRegistry, render_scrape
 from repro.obs.recorder import FlightRecorder
 from repro.obs.trace import Tracer
 from repro.server.agent_server import AgentServer
@@ -138,8 +138,9 @@ class Testbed:
             self._server_kwargs.setdefault(
                 "recovery", recovery_config or RecoveryConfig()
             )
-        # One metrics namespace over every server's ad-hoc counters
-        # (registered lazily — reading happens at scrape time only).
+        # The world's own instruments: hook-fed metrics and the fault
+        # injector.  Per-host counters live on each node's telemetry unit;
+        # scrape() merges the two.
         self.metrics = MetricsRegistry()
         self.tracer: Tracer | None = None
         self.collector: Any = None
@@ -242,9 +243,6 @@ class Testbed:
                     timeout=self._ns_timeout,
                 )
                 self.ns_hosts[node] = host
-                self.metrics.register_source(
-                    "ns_replica", host.stats, node=node, shard=shard_id
-                )
         self.name_service = DirectoryOracle(
             self.ns_ring, self.ns_hosts, self.clock
         )
@@ -297,41 +295,10 @@ class Testbed:
                 breaker_threshold=breaker_threshold,
                 breaker_reset=breaker_reset,
             )
-            self.metrics.register_source(
-                "ns_client", server.name_service.stats, server=name
-            )
-            # Mirror into the server's own telemetry unit so a federated
-            # scrape sees the same keys the omniscient registry does.
             server.telemetry.register_source(
                 "ns_client", server.name_service.stats
             )
         self.servers.append(server)
-        self.metrics.register_source("server", server.stats, server=server.name)
-        self.metrics.register_source(
-            "endpoint", server.endpoint.stats, server=server.name
-        )
-        self.metrics.register_source(
-            "secure", server.secure.stats, server=server.name
-        )
-        self.metrics.register_source(
-            "audit", server.audit, server=server.name
-        )
-        if server.supervisor is not None:
-            self.metrics.register_source(
-                "supervisor", server.supervisor.stats, server=server.name
-            )
-        if server.integrity is not None:
-            self.metrics.register_source(
-                "integrity", server.integrity.stats, server=server.name
-            )
-        if server.membership is not None:
-            self.metrics.register_source(
-                "membership", server.membership.stats, server=server.name
-            )
-        if server.recovery is not None:
-            self.metrics.register_source(
-                "recovery", server.recovery.stats, server=server.name
-            )
         return server
 
     def _connect(
@@ -503,26 +470,43 @@ class Testbed:
     def start_metrics(self) -> MetricsRegistry:
         """Install this world's registry so hook-fed metrics flow.
 
-        Scraping absorbed per-server counters works without this — only
-        the new first-class instruments (proxy latency histograms, deny
-        counters) need the hooks live.
+        Scraping per-host counters works without this — only the
+        first-class instruments (proxy latency histograms, deny counters)
+        need the hooks live.
         """
         _obs.install(metrics=self.metrics)
         return self.metrics
 
     def scrape(self) -> dict[str, Any]:
-        """Every metric in the world, flattened into one dict."""
-        return self.metrics.scrape()
+        """Every metric in the world, flattened into one dict.
+
+        The omniscient view: :attr:`metrics` merged with the telemetry
+        unit of every node a federated collector would scrape.  Unit keys
+        carry their host's labels, so the merge never collides.
+        """
+        out = self.metrics.scrape()
+        for unit in self.telemetry_units().values():
+            out.update(unit.scrape())
+        return out
 
     def render_metrics(self) -> str:
         """The scrape as sorted ``key value`` text lines."""
-        return self.metrics.render_text()
+        return render_scrape(self.scrape())
 
     # -- cluster telemetry (federated scrape / profiling / SLOs) -----------------------
 
+    def telemetry_units(self) -> dict[str, Any]:
+        """Every node serving ``telemetry.scrape`` (servers + directory
+        replicas), mapped to its :class:`~repro.obs.aggregate.TelemetryUnit`."""
+        units = {s.name: s.telemetry for s in self.servers}
+        units.update(
+            (node, host.telemetry) for node, host in self.ns_hosts.items()
+        )
+        return units
+
     def telemetry_targets(self) -> list[str]:
-        """Every node serving ``telemetry.scrape``: servers + directory replicas."""
-        return [s.name for s in self.servers] + list(self.ns_hosts)
+        """The names of :meth:`telemetry_units`, in order."""
+        return list(self.telemetry_units())
 
     def start_collector(
         self, period: float = 5.0, *, via: AgentServer | None = None

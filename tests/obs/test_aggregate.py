@@ -133,6 +133,21 @@ def test_histogram_wraparound_treats_shrunk_buckets_as_restart():
     assert merged.counts == [1, 2, 1]
 
 
+def test_histogram_restart_keeps_pre_restart_total():
+    """Counts and total share one restart decision: a restarted source
+    whose total happens to exceed the last one still adds all of it."""
+    collector = _collector()
+    h1 = Histogram([100.0, 1000.0])
+    h1.observe(300.0)
+    collector.absorb(MetricSnapshot("a", 1.0, {}, {}, {"lat": h1.state()}))
+    h2 = Histogram([100.0, 1000.0])  # restarted: bucket 1 fell to 0
+    h2.observe(5000.0)
+    collector.absorb(MetricSnapshot("a", 2.0, {}, {}, {"lat": h2.state()}))
+    merged = collector.cluster.histogram("lat", bounds=[100.0, 1000.0])
+    assert merged.count == 2
+    assert merged.total == 5300.0
+
+
 def test_bucket_boundary_values_merge_without_mass_shift():
     bounds = [256.0, 512.0]
     a, b = Histogram(bounds), Histogram(bounds)
@@ -157,22 +172,29 @@ def test_histogram_merge_rejects_mismatched_bounds():
         a.merge(b)
 
 
-def test_monitor_counter_aliases_survive_aggregation():
-    """Computed alias keys flatten like real counters and federate."""
+def test_monitor_counter_total_and_parts_survive_aggregation():
+    """A total bumped beside its parts federates like any counter."""
     stats = MonitorCounter()
-    stats.alias("failed", "failed_breaker", "failed_exhausted")
-    stats.add("failed_breaker", 2)
-    stats.add("failed_exhausted", 1)
+    for part, n in (("failed_breaker", 2), ("failed_exhausted", 1)):
+        stats.add("failed", n)
+        stats.add(part, n)
     unit = _unit(server="a")
     unit.register_source("xfer", stats)
     collector = _collector()
     collector.absorb(unit.snapshot())
     scrape = collector.scrape()
     assert scrape["xfer.failed{server=a}"] == 3
-    # The alias keeps tracking its parts across later scrapes.
+    assert scrape["xfer.failed_breaker{server=a}"] == 2
+    # The total keeps tracking its parts across later scrapes.
+    stats.add("failed")
     stats.add("failed_breaker")
     collector.absorb(unit.snapshot())
-    assert collector.scrape()["xfer.failed{server=a}"] == 4
+    scrape = collector.scrape()
+    assert scrape["xfer.failed{server=a}"] == 4
+    assert scrape["xfer.failed{server=a}"] == (
+        scrape["xfer.failed_breaker{server=a}"]
+        + scrape["xfer.failed_exhausted{server=a}"]
+    )
 
 
 def test_gauges_are_newest_wins():

@@ -84,18 +84,6 @@ def test_register_source_is_lazy():
     assert reg.scrape()["server.transfers_out{server=s0}"] == 2
 
 
-def test_register_source_surfaces_aliases():
-    reg = MetricsRegistry()
-    stats = MonitorCounter()
-    stats.alias("failed", "failed_a", "failed_b")
-    stats.add("failed_a", 2)
-    stats.add("failed_b")
-    reg.register_source("server", stats)
-    scrape = reg.scrape()
-    assert scrape["server.failed"] == 3
-    assert scrape["server.failed_a"] == 2
-
-
 def test_register_source_requires_as_dict():
     reg = MetricsRegistry()
     with pytest.raises(TypeError):
@@ -112,16 +100,21 @@ def test_render_text_is_sorted_lines():
     assert "a_metric 1" in lines
 
 
-def test_monitor_counter_alias_semantics():
+def test_constant_labels_are_stamped_on_every_key():
+    reg = MetricsRegistry(server="s7", ring="2")
+    reg.inc("ops")
+    reg.inc("ops", resource="Buffer")
+    reg.gauge("residents").set(1.0)
+    reg.observe("lat_ns", 300.0)
     stats = MonitorCounter()
-    stats.alias("total", "x", "y")
-    stats.add("x", 2)
-    stats.add("y", 3)
-    assert stats["total"] == 5
-    assert stats.as_dict()["total"] == 5
-    with pytest.raises(ValueError):
-        stats.add("total")  # aliases are read-only
-    with pytest.raises(ValueError):
-        stats.alias("x", "z")  # cannot shadow a real counter
-    with pytest.raises(ValueError):
-        stats.alias("empty")  # needs parts
+    stats.add("hits", 4)
+    reg.register_source("cache", stats)
+    reg.register_source("shard", stats, ring="9")  # per-call label wins
+    scrape = reg.scrape()
+    assert scrape["ops{ring=2,server=s7}"] == 1
+    assert scrape["ops{resource=Buffer,ring=2,server=s7}"] == 1
+    assert scrape["residents{ring=2,server=s7}"] == 1.0
+    assert scrape["lat_ns{ring=2,server=s7}"]["count"] == 1
+    assert scrape["cache.hits{ring=2,server=s7}"] == 4
+    assert scrape["shard.hits{ring=9,server=s7}"] == 4
+    assert len(scrape) == 6

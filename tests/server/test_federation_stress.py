@@ -151,6 +151,13 @@ def test_federation_invariants():
     if tampered:
         assert rejected > 0
 
+    # --- the transfer-failure split: each failure has exactly one cause.
+    for s in bed.servers:
+        assert s.stats["transfers_failed"] == (
+            s.stats["transfers_failed_breaker"]
+            + s.stats["transfers_failed_exhausted"]
+        ), s.name
+
 
 def test_federation_is_deterministic():
     def fingerprint() -> tuple:

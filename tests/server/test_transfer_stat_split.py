@@ -1,10 +1,9 @@
 """The transfer-failure split: breaker fast-fails vs exhausted retries.
 
-``transfers_failed`` used to double as both "every retry failed" and
-"the circuit breaker refused to even try", with a second counter
-(``transfer_breaker_fastfail``) bumped alongside it.  Both are now
-computed aliases over the two disjoint base counters, so dashboards keep
-their keys while operators can finally tell the cases apart.
+Every failed departure bumps ``transfers_failed`` and exactly one of its
+two disjoint causes, ``transfers_failed_breaker`` ("the circuit breaker
+refused to even try") or ``transfers_failed_exhausted`` ("every retry
+failed"), so the total always equals the sum of its parts.
 """
 
 from __future__ import annotations
@@ -63,8 +62,9 @@ def test_exhaustion_and_fastfail_hit_separate_counters(dead_destination_world):
     stats = bed.home.stats
     assert stats["transfers_failed_exhausted"] == 1
     assert stats["transfers_failed_breaker"] == 0
-    assert stats["transfers_failed"] == 1  # alias: sum of the two
-    assert stats["transfer_breaker_fastfail"] == 0
+    assert stats["transfers_failed"] == (
+        stats["transfers_failed_breaker"] + stats["transfers_failed_exhausted"]
+    )
     assert bed.home.resident_status(a1.name)["status"] == "terminated"
 
     # Second departure: the open breaker refuses before any attempt.
@@ -72,17 +72,10 @@ def test_exhaustion_and_fastfail_hit_separate_counters(dead_destination_world):
     bed.run(detect_deadlock=False)
     assert stats["transfers_failed_exhausted"] == 1
     assert stats["transfers_failed_breaker"] == 1
-    assert stats["transfers_failed"] == 2
-    assert stats["transfer_breaker_fastfail"] == 1  # legacy alias tracks it
+    assert stats["transfers_failed"] == (
+        stats["transfers_failed_breaker"] + stats["transfers_failed_exhausted"]
+    )
     assert bed.home.resident_status(a2.name)["status"] == "terminated"
-
-
-def test_aliases_are_read_only(dead_destination_world):
-    stats = dead_destination_world.home.stats
-    with pytest.raises(ValueError):
-        stats.add("transfers_failed")
-    with pytest.raises(ValueError):
-        stats.add("transfer_breaker_fastfail")
 
 
 def test_scrape_surfaces_alias_and_parts(dead_destination_world):
