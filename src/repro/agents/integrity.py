@@ -76,6 +76,10 @@ COMMITMENT_ATTRIBUTE = "itinerary_commitment"
 
 _MAX_URN = 512  # bound on wire-decoded link fields
 _MAX_TAG = 64
+# Bounds on the replay record of admitted chain tips and on remembered
+# itinerary commitments (LRU, oldest dropped first).
+_REPLAY_CAPACITY = 4096
+_COMMITMENT_CAPACITY = 4096
 
 
 def state_digest(image: AgentImage) -> bytes:
@@ -295,16 +299,13 @@ class IntegrityAuthority:
         trust_anchor: TrustAnchor,
         clock: Clock,
         rng: random.Random,
-        quarantine_duration: float = 3600.0,
-        replay_capacity: int = 4096,
-        commitment_capacity: int = 4096,
     ) -> None:
         self.name = name
         self.keys = keys
         self.certificate = certificate
         self.trust_anchor = trust_anchor
         self.clock = clock
-        self.quarantine = HostQuarantine(clock, duration=quarantine_duration)
+        self.quarantine = HostQuarantine(clock)
         self.stats = Counter()
         # Home-side itinerary commitments are sealed under a key that
         # never leaves this server; remembering which agents were
@@ -313,7 +314,6 @@ class IntegrityAuthority:
         self._committed: collections.OrderedDict[str, bytes] = (
             collections.OrderedDict()
         )
-        self._commitment_capacity = commitment_capacity
         # Chain tips already admitted here: a bounded LRU standing in for
         # a stable-storage record.  A structurally perfect image offered
         # twice (under a fresh transfer id, so dedup cannot see it) is a
@@ -321,7 +321,6 @@ class IntegrityAuthority:
         self._seen_tips: collections.OrderedDict[bytes, float] = (
             collections.OrderedDict()
         )
-        self._replay_capacity = replay_capacity
         # Signature-checked certificates (a federation has few sealing
         # hosts, so the same certificates recur in every chain).  The
         # validity window and the trust anchor's version are re-checked
@@ -561,7 +560,7 @@ class IntegrityAuthority:
         """Record an admitted chain tip for replay detection."""
         self._seen_tips[tip_tag] = self.clock.now()
         self._seen_tips.move_to_end(tip_tag)
-        while len(self._seen_tips) > self._replay_capacity:
+        while len(self._seen_tips) > _REPLAY_CAPACITY:
             self._seen_tips.popitem(last=False)
 
     # -- itinerary commitments (home side) ---------------------------------
@@ -588,7 +587,7 @@ class IntegrityAuthority:
         )
         self._committed[str(image.name)] = commitment.mac
         self._committed.move_to_end(str(image.name))
-        while len(self._committed) > self._commitment_capacity:
+        while len(self._committed) > _COMMITMENT_CAPACITY:
             self._committed.popitem(last=False)
         self.stats.add("itineraries_committed")
         return image.with_attributes(**{COMMITMENT_ATTRIBUTE: commitment})

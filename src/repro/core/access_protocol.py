@@ -50,6 +50,7 @@ from repro.core.token import (
     default_epoch_registry,
     default_token_authority,
     interface_digest,
+    mask_of,
     methods_of,
 )
 from repro.credentials.cache import credential_fingerprint
@@ -222,19 +223,20 @@ class AccessProtocol:
                 domain=context.domain_id,
                 agent=str(credentials.agent),
             ) as span:
-                return self._issue_proxy(credentials, context, span)
-        return self._issue_proxy(credentials, context, None)
+                return self._authorize(credentials, context, span)
+        return self._authorize(credentials, context, None)
 
-    def _issue_proxy(
+    def _authorize(
         self,
         credentials: DelegatedCredentials,
         context: BindingContext,
         span,
     ) -> Resource:
+        """``get_proxy``'s own check: a policy decision granting something."""
         grant = self._grant_for(credentials)
-        target = type(self).__name__
         if not grant.enabled:
             reason = grant.deny_reason()
+            target = type(self).__name__
             if span is not None:
                 span.set_attribute("deny_rules", list(grant.matched_rules))
                 span.set_status("error", reason)
@@ -251,97 +253,7 @@ class AccessProtocol:
         if span is not None:
             span.set_attribute("enabled_methods", len(grant.enabled))
             span.set_attribute("matched_rules", list(grant.matched_rules))
-        guard = self._supervision
-        if guard is not None:
-            # Admission control at issue time: a domain hoarding grants
-            # of one resource is shed here, before a proxy exists.
-            bucket = self._issued.get(context.domain_id)
-            held = len(bucket.refs) if bucket is not None else 0
-            guard.admit_grant(context.domain_id, held)
-        meter = None
-        if grant.metered:
-            meter = Meter(
-                grantee=context.domain_id,
-                resource=target,
-                tariff=self._tariff,
-                quotas=dict(grant.quotas),
-                on_charge=context.on_charge,
-            )
-        proxy_cls = synthesize_proxy_class(type(self))
-        proxy = proxy_cls(
-            self,
-            grant,
-            context,
-            meter=meter,
-            admin_domains=self._extra_admin_domains
-            | {context.server_domain_id},
-            supervision=guard,
-            lease_duration=guard.lease_duration if guard is not None else None,
-        )
-        grantee_urn = str(credentials.agent)
-        bucket = self._issued.get(context.domain_id)
-        if bucket is None:
-            bucket = self._issued[context.domain_id] = _ProxyBucket()
-        bucket.add(proxy)
-        bucket.holders.add(grantee_urn)
-        if context.server_domain_id not in self._proxy_admin_domains:
-            self._proxy_admin_domains |= {context.server_domain_id}
-        if not grant.metered:
-            # Mint the signed capability backing this grant.  Metered
-            # grants get none: the meter's billing state lives server-side
-            # and cannot ride in a bearer token, so metered re-binds always
-            # take the full path.
-            self._attach_token(proxy, grantee_urn, credentials, context)
-        if _obs.METRICS_ON:
-            _obs.METRICS.inc("proxy_grants_issued", resource=target)
-        if context.audit is not None:
-            context.audit.record(
-                context.domain_id, "resource.get_proxy", target, True,
-                f"enabled={len(grant.enabled)} methods",
-            )
-        return proxy
-
-    # -- capability tokens (O(1) warm-path enforcement) -------------------------
-
-    def _resource_token_id(self) -> str:
-        """The stable identity tokens (and epoch cells) key on."""
-        rid = getattr(self, "_token_rid", None)
-        if rid is None:
-            name = getattr(self, "_name", None)
-            rid = (
-                str(name)
-                if name is not None
-                else f"{type(self).__name__}@{id(self):x}"
-            )
-            self._token_rid = rid
-        return rid
-
-    def _attach_token(
-        self,
-        proxy: ResourceProxy,
-        grantee_urn: str,
-        credentials: DelegatedCredentials,
-        context: BindingContext,
-    ) -> None:
-        authority = default_token_authority()
-        resource_id = self._resource_token_id()
-        token = authority.mint(
-            grantee=grantee_urn,
-            resource=resource_id,
-            resource_kind=type(self).__name__,
-            iface_digest=interface_digest(type(self)),
-            mask=proxy._mask,
-            ring=context.ring,
-            confine=proxy._confine,
-            lease=proxy._lease_duration,
-            now=context.clock.now(),
-        )
-        registry = authority.registry
-        proxy._token = token
-        proxy._hcell = registry.holder_cell(grantee_urn)
-        proxy._rcell = registry.resource_cell(resource_id)
-        proxy._credentials = credentials
-        proxy._refresh = _refresh_proxy_token
+        return self._manufacture(grant, credentials, context, None)
 
     def redeem_token(
         self,
@@ -391,13 +303,6 @@ class AccessProtocol:
                     "capability_redeem_misses", resource=target, reason="stale"
                 )
             return self.get_proxy(credentials, context)
-        guard = self._supervision
-        if guard is not None:
-            # Trust never bypasses admission control: redeemed grants
-            # count against the same per-domain quota as fresh ones.
-            bucket = self._issued.get(context.domain_id)
-            held = len(bucket.refs) if bucket is not None else 0
-            guard.admit_grant(context.domain_id, held)
         grant = ProxyGrant(
             enabled=methods_of(type(self), token.mask),
             lifetime=token.lease,
@@ -405,38 +310,168 @@ class AccessProtocol:
             metered=False,
             matched_rules=("capability-token",),
         )
-        proxy_cls = synthesize_proxy_class(type(self))
-        proxy = proxy_cls(
+        return self._manufacture(grant, credentials, context, token)
+
+    # -- the one path from grant to proxy --------------------------------------
+
+    def _manufacture(
+        self,
+        grant: ProxyGrant,
+        credentials: DelegatedCredentials,
+        context: BindingContext,
+        token: CapabilityToken | None,
+    ) -> Resource:
+        """Turn an authorized grant into a live, indexed proxy.
+
+        Both entry points end here: ``get_proxy`` with a fresh decision
+        (``token`` None: one is minted), ``redeem_token`` with the
+        authentic, fresh token it was handed (reused as is).  Metric and
+        audit names stay per entry point.
+        """
+        target = type(self).__name__
+        domain_id = context.domain_id
+        bucket = self._issued.get(domain_id)
+        guard = self._supervision
+        if guard is not None:
+            # Admission control at issue time: a domain hoarding grants
+            # of one resource is shed here, before a proxy exists — and
+            # trust never bypasses it, so redeemed grants count too.
+            guard.admit_grant(
+                domain_id, len(bucket.refs) if bucket is not None else 0
+            )
+        # The grant's lifetime *is* its lease: an explicit policy (or
+        # token) lifetime wins, otherwise the supervisor's default applies.
+        lease = grant.lifetime
+        if lease is None and guard is not None:
+            lease = guard.lease_duration
+        mask = mask_of(type(self), grant.enabled)
+        grantee = str(credentials.agent)
+        redeemed = token is not None
+        meter = None
+        if grant.metered:
+            # Metered grants get no token: the meter's billing state lives
+            # server-side and cannot ride in a bearer token, so metered
+            # re-binds always take the full path.
+            meter = Meter(
+                grantee=domain_id,
+                resource=target,
+                tariff=self._tariff,
+                quotas=dict(grant.quotas),
+                on_charge=context.on_charge,
+            )
+        elif token is None:
+            token = self._mint_token(
+                grantee, mask, grant.confine, lease, context.ring,
+                context.clock.now(),
+            )
+        proxy = synthesize_proxy_class(type(self))(
             self,
-            grant,
             context,
-            meter=None,
+            mask=mask,
+            confine=grant.confine,
+            lease=lease,
+            token=token,
+            credentials=credentials,
+            meter=meter,
             admin_domains=self._extra_admin_domains
             | {context.server_domain_id},
             supervision=guard,
-            lease_duration=guard.lease_duration if guard is not None else None,
         )
-        registry = authority.registry
-        proxy._token = token
-        proxy._hcell = registry.holder_cell(token.grantee)
-        proxy._rcell = registry.resource_cell(token.resource)
-        proxy._credentials = credentials
-        proxy._refresh = _refresh_proxy_token
-        bucket = self._issued.get(context.domain_id)
         if bucket is None:
-            bucket = self._issued[context.domain_id] = _ProxyBucket()
+            bucket = self._issued[domain_id] = _ProxyBucket()
         bucket.add(proxy)
-        bucket.holders.add(token.grantee)
+        bucket.holders.add(grantee)
         if context.server_domain_id not in self._proxy_admin_domains:
             self._proxy_admin_domains |= {context.server_domain_id}
+        if redeemed:
+            metric, operation = "capability_redeem_hits", "resource.redeem_token"
+        else:
+            metric, operation = "proxy_grants_issued", "resource.get_proxy"
         if _obs.METRICS_ON:
-            _obs.METRICS.inc("capability_redeem_hits", resource=target)
+            _obs.METRICS.inc(metric, resource=target)
         if context.audit is not None:
             context.audit.record(
-                context.domain_id, "resource.redeem_token", target, True,
-                f"mask={token.mask:#x}",
+                domain_id, operation, target, True,
+                f"mask={token.mask:#x}" if redeemed
+                else f"enabled={len(grant.enabled)} methods",
             )
         return proxy
+
+    # -- capability tokens (O(1) warm-path enforcement) -------------------------
+
+    def _resource_token_id(self) -> str:
+        """The stable identity tokens (and epoch cells) key on."""
+        rid = getattr(self, "_token_rid", None)
+        if rid is None:
+            name = getattr(self, "_name", None)
+            rid = (
+                str(name)
+                if name is not None
+                else f"{type(self).__name__}@{id(self):x}"
+            )
+            self._token_rid = rid
+        return rid
+
+    def _mint_token(
+        self,
+        grantee: str,
+        mask: int,
+        confine: bool,
+        lease: float | None,
+        ring: int,
+        now: float,
+    ) -> CapabilityToken:
+        """Sign a capability for ``grantee`` over this resource."""
+        return default_token_authority().mint(
+            grantee=grantee,
+            resource=self._resource_token_id(),
+            resource_kind=type(self).__name__,
+            iface_digest=interface_digest(type(self)),
+            mask=mask,
+            ring=ring,
+            confine=confine,
+            lease=lease,
+            now=now,
+        )
+
+    def _refresh_token(self, proxy: ResourceProxy, method: str) -> None:
+        """Stale-token fallback: re-validate through the full path, in place.
+
+        Invoked from a tokened proxy's ``_precheck`` when the token's
+        epochs no longer match or its ttl elapsed.  Re-runs the policy
+        decision (usually a grant-cache hit) under the proxy's stored
+        credentials:
+
+        * still granted → adopt the (possibly narrower) fresh grant and
+          mint a new token — the call proceeds under the *new* authority;
+        * denied, or newly metered → the proxy is revoked and the call
+          fails closed with :class:`ProxyRevokedError` (a meter cannot be
+          conjured mid-grant; the holder must re-bind through
+          ``get_proxy``).
+        """
+        target = type(self).__name__
+        if _obs.METRICS_ON:
+            _obs.METRICS.inc("capability_tokens_refreshed", resource=target)
+        grant = self._grant_for(proxy._credentials)
+        if not grant.enabled or grant.metered:
+            proxy._revoked = True
+            proxy._token = None
+            if proxy._meter is not None:
+                proxy._meter.finalize()
+            proxy._deny(method, "token_stale_denied")
+            raise ProxyRevokedError(
+                f"grant for {target} was revoked out from under its"
+                f" capability token",
+                resource=target,
+                domain=proxy._grantee,
+                method=method,
+            )
+        mask = mask_of(type(self), grant.enabled)
+        token = self._mint_token(
+            proxy._token.grantee, mask, grant.confine, proxy._lease_duration,
+            proxy._ring, proxy._clock.now(),
+        )
+        proxy._set_authority(mask, grant.confine, token)
 
     # -- section 5.5 management operations -----------------------------------------
 
@@ -534,62 +569,3 @@ class AccessProtocol:
     def tariff(self) -> Tariff:
         return self._tariff
 
-
-def _refresh_proxy_token(proxy: ResourceProxy, method: str) -> None:
-    """Stale-token fallback: re-validate through the full path, in place.
-
-    Installed on every tokened proxy; invoked from ``_precheck`` when the
-    token's epochs no longer match or its ttl elapsed.  Re-runs the
-    policy decision (usually a grant-cache hit) under the proxy's stored
-    credentials:
-
-    * still granted → adopt the (possibly narrower) fresh grant and mint
-      a new token — the call proceeds under the *new* authority;
-    * denied, or newly metered → the proxy is revoked and the call fails
-      closed with :class:`ProxyRevokedError` (a meter cannot be conjured
-      mid-grant; the holder must re-bind through ``get_proxy``).
-    """
-    resource = proxy._ref
-    credentials = proxy._credentials
-    old = proxy._token
-    if _obs.METRICS_ON:
-        _obs.METRICS.inc(
-            "capability_tokens_refreshed", resource=proxy._target_name
-        )
-    grant = resource._grant_for(credentials)
-    if not grant.enabled or grant.metered:
-        proxy._revoked = True
-        proxy._token = None
-        if proxy._meter is not None:
-            proxy._meter.finalize()
-        proxy._deny(method, "token_stale_denied")
-        raise ProxyRevokedError(
-            f"grant for {proxy._target_name} was revoked out from under its"
-            f" capability token",
-            resource=proxy._target_name,
-            domain=proxy._grantee,
-            method=method,
-        )
-    proxy._enabled = set(grant.enabled)
-    bits = proxy._method_bits
-    mask = 0
-    for name in proxy._enabled:
-        mask |= bits.get(name, 0)
-    proxy._mask = mask
-    proxy._confine = grant.confine
-    authority = default_token_authority()
-    registry = authority.registry
-    proxy._token = authority.mint(
-        grantee=old.grantee,
-        resource=old.resource,
-        resource_kind=old.resource_kind,
-        iface_digest=old.iface_digest,
-        mask=mask,
-        ring=proxy._ring,
-        confine=grant.confine,
-        lease=proxy._lease_duration,
-        now=proxy._clock.now(),
-    )
-    # Re-fetch the cells: the registry may have recycled them (soft cap).
-    proxy._hcell = registry.holder_cell(old.grantee)
-    proxy._rcell = registry.resource_cell(old.resource)

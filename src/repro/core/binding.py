@@ -19,6 +19,8 @@ through the very same ``get_resource`` path.
 
 from __future__ import annotations
 
+from contextlib import nullcontext
+
 from repro.core.access_protocol import BindingContext
 from repro.core.domain_db import DomainDatabase
 from repro.core.registry import ResourceRegistry
@@ -32,6 +34,16 @@ from repro.util.audit import AuditLog
 from repro.util.clock import Clock
 
 __all__ = ["BindingService"]
+
+# Stands in for a step's span when tracing is off (reusable, reentrant).
+_UNTRACED = nullcontext()
+
+
+def _step(tracer, span_name: str, name: URN):
+    """One Fig. 6 step's span, or nothing at all when ``tracer`` is None."""
+    return _UNTRACED if tracer is None else tracer.span(
+        span_name, resource=str(name)
+    )
 
 
 class BindingService:
@@ -120,40 +132,27 @@ class BindingService:
             )
         if isinstance(token, (bytes, bytearray)):
             token = CapabilityToken.from_wire(token)
-        if not _obs.TRACING:
-            resource = self.registry.lookup(name)  # step 3
-            context = self._context_for(domain)
-            if token is not None:
-                proxy = resource.redeem_token(token, domain.credentials, context)
-            else:
-                proxy = resource.get_proxy(domain.credentials, context)  # step 4
-            # step 5: record the binding (trusted code, agent's thread).
-            if domain.domain_id in self.domain_db:
-                with self.domain_db.privileged():
-                    self.domain_db.record_binding(domain.domain_id, name, proxy)
-            return proxy  # step 6 happens at the caller
-
-        # Traced variant: one span per Fig. 6 step (step 4 opens its own
+        # With tracing on, one span per Fig. 6 step (step 4 opens its own
         # span inside get_proxy; step 6 is the caller's proxy.invoke).
-        tracer = _obs.TRACER
-        with tracer.span(
+        tracer = _obs.TRACER if _obs.TRACING else None
+        with _UNTRACED if tracer is None else tracer.span(
             "protocol.request",
             resource=str(name),
             domain=domain.domain_id,
             agent=str(domain.credentials.agent),
             ring=f"ring{domain.ring}",
         ):
-            with tracer.span("protocol.lookup", resource=str(name)):
+            with _step(tracer, "protocol.lookup", name):
                 resource = self.registry.lookup(name)  # step 3
             context = self._context_for(domain)
-            if token is not None:
-                with tracer.span("protocol.redeem_token", resource=str(name)):
+            if token is None:
+                proxy = resource.get_proxy(domain.credentials, context)  # step 4
+            else:
+                with _step(tracer, "protocol.redeem_token", name):
                     proxy = resource.redeem_token(
                         token, domain.credentials, context
                     )
-            else:
-                proxy = resource.get_proxy(domain.credentials, context)  # step 4
-            with tracer.span("protocol.record_binding", resource=str(name)):
+            with _step(tracer, "protocol.record_binding", name):
                 # step 5: record the binding (trusted code, agent's thread).
                 if domain.domain_id in self.domain_db:
                     with self.domain_db.privileged():

@@ -24,8 +24,8 @@ integer compares against the epoch cells, and one bitmask test — the
 paper's claim that "once a safe proxy is made available to an agent,
 access control checks would require a minimal amount of computation" is
 benchmark F5.  The enabled-method check is a single ``mask & bit``
-against a per-class bit assignment; the method-name set survives only
-for introspection and administrative edits.
+against a per-class bit assignment, and the mask is the only record of
+which methods are enabled.
 
 Proxy classes are synthesized from the resource class's exported
 interface — the runtime equivalent of the paper's "simple lexical
@@ -57,9 +57,14 @@ from typing import TYPE_CHECKING, Any, Callable
 
 from repro.core.accounting import Meter
 from repro.core.capability import check_confinement, current_domain_id
-from repro.core.policy import ProxyGrant
 from repro.core.resource import Resource, exported_methods
-from repro.core.token import RING_NAMES, RING_UNTRUSTED, RING_VERIFIED, method_bits
+from repro.core.token import (
+    RING_NAMES,
+    RING_UNTRUSTED,
+    default_token_authority,
+    method_bits,
+    methods_of,
+)
 from repro.errors import (
     MethodDisabledError,
     PrivilegeError,
@@ -72,6 +77,7 @@ from repro.obs import runtime as _obs
 if TYPE_CHECKING:  # pragma: no cover
     from repro.core.access_protocol import BindingContext
     from repro.core.token import CapabilityToken
+    from repro.credentials.delegation import DelegatedCredentials
 
 __all__ = ["ResourceProxy", "synthesize_proxy_class", "RESERVED_PROXY_NAMES"]
 
@@ -98,7 +104,6 @@ class ResourceProxy(Resource):
     __slots__ = (
         "__weakref__",  # the resource's issued-proxy index holds weak refs
         "_ref",
-        "_enabled",
         "_mask",
         "_grantee",
         "_expires_at",
@@ -118,41 +123,32 @@ class ResourceProxy(Resource):
         "_dispatch",
         "_token",
         "_hcell",
-        "_rcell",
         "_credentials",
-        "_refresh",
     )
 
     def __init__(
         self,
         resource: Resource,
-        grant: ProxyGrant,
         context: "BindingContext",
         *,
+        mask: int,
+        confine: bool,
+        lease: float | None,
+        token: "CapabilityToken | None" = None,
+        credentials: "DelegatedCredentials | None" = None,
         meter: Meter | None = None,
         admin_domains: frozenset[str] = frozenset(),
         supervision: Any | None = None,
-        lease_duration: float | None = None,
     ) -> None:
         self._ref = resource  # private: never visible through the interface
-        self._enabled = set(grant.enabled)
-        bits = self._method_bits
-        mask = 0
-        for name in self._enabled:
-            mask |= bits.get(name, 0)
-        self._mask = mask
         self._grantee = context.domain_id
         self._clock = context.clock
-        # The grant's lifetime *is* its lease: an explicit policy lifetime
-        # wins, otherwise the supervisor's default lease applies.  Either
-        # way the deadline is renewable via ``renew_lease`` and lapse
-        # means automatic revocation.  Both None = a perpetual grant.
-        lease = grant.lifetime if grant.lifetime is not None else lease_duration
+        # The lease is renewable via ``renew_lease``; lapse means automatic
+        # revocation.  None = a perpetual grant.
         self._lease_duration = lease
         self._expires_at = (
             context.clock.now() + lease if lease is not None else None
         )
-        self._confine = grant.confine
         self._revoked = False
         self._meter = meter
         self._time_metered = meter is not None and meter.time_metered
@@ -162,13 +158,8 @@ class ResourceProxy(Resource):
         self._inflight: tuple[str, float] | None = None
         self._target_name = f"{type(resource).__name__}"
         self._forwards = _bound_forwards(resource)
-        # Capability-token state: attached by the access protocol after
-        # construction (None = enforce purely from local grant state).
-        self._token: "CapabilityToken | None" = None
-        self._hcell = None  # holder EpochCell (shared by reference)
-        self._rcell = None  # resource EpochCell
-        self._credentials = None  # grantee credentials, for re-validation
-        self._refresh = None  # stale-token fallback installed by the issuer
+        self._credentials = credentials  # grantee credentials, for re-validation
+        self._set_authority(mask, confine, token)
         # The trust ring picks the dispatch path once, here — never per
         # call.  Supervision gates apply to every ring; ring 2 addition-
         # ally leaves a per-invocation audit trail.
@@ -181,9 +172,28 @@ class ResourceProxy(Resource):
         else:
             self._dispatch = _checked_call
 
+    def _set_authority(
+        self, mask: int, confine: bool, token: "CapabilityToken | None"
+    ) -> None:
+        """Write what this proxy may do, at construction and on refresh.
+
+        ``token`` is the signed capability backing the grant (None =
+        enforce purely from local grant state); the proxy holds its
+        holder's epoch *cell*, re-fetched here because the registry may
+        have recycled an older one (soft cap).
+        """
+        self._mask = mask
+        self._confine = confine
+        self._token = token
+        self._hcell = (
+            default_token_authority().registry.holder_cell(token.grantee)
+            if token is not None
+            else None
+        )
+
     # -- the pre-check (Fig. 5's isEnabled, extended per section 5.5) -----------
 
-    def _precheck(self, method: str, method_bit: int = 0) -> None:
+    def _precheck(self, method: str, method_bit: int) -> None:
         if self._revoked:
             self._deny(method, "revoked")
             raise ProxyRevokedError(
@@ -223,18 +233,8 @@ class ResourceProxy(Resource):
             # here: it gates token redemption (re-binding), while a live
             # proxy keeps the grant it was issued — ``set_policy`` affects
             # future grants only, exactly as before tokens existed.
-            self._refresh(self, method)
-        if method_bit:
-            if not (self._mask & method_bit):
-                self._deny(method, "disabled")
-                raise MethodDisabledError(
-                    f"method {self._target_name}.{method} is disabled on"
-                    f" this proxy",
-                    resource=self._target_name,
-                    domain=self._grantee,
-                    method=method,
-                )
-        elif method not in self._enabled:
+            self._ref._refresh_token(self, method)
+        if not (self._mask & method_bit):
             self._deny(method, "disabled")
             raise MethodDisabledError(
                 f"method {self._target_name}.{method} is disabled on this proxy",
@@ -315,12 +315,10 @@ class ResourceProxy(Resource):
             raise SecurityException(
                 f"{self._target_name} has no exported method {method!r}"
             )
-        bit = self._method_bits.get(method, 0)
+        bit = self._method_bits[method]
         if enabled:
-            self._enabled.add(method)
             self._mask |= bit
         else:
-            self._enabled.discard(method)
             self._mask &= ~bit
 
     def set_expiry(self, expires_at: float | None) -> None:
@@ -386,7 +384,7 @@ class ResourceProxy(Resource):
         return {
             "resource": self._target_name,
             "grantee": self._grantee,
-            "enabled": frozenset(self._enabled),
+            "enabled": methods_of(type(self._ref), self._mask),
             "expires_at": self._expires_at,
             "confined": self._confine,
             "revoked": self._revoked,

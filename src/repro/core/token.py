@@ -40,7 +40,7 @@ interlocks.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from repro.crypto.mac import HmacKey
 from repro.errors import TokenInvalidError
@@ -386,9 +386,7 @@ class TokenAuthority:
         )
         packed = token.packed()
         tag = self._mac.digest(packed)
-        token = CapabilityToken(
-            **{**_token_fields(token), "tag": tag}
-        )
+        token = replace(token, tag=tag)
         self._remember(tag, packed)
         self.stats["minted"] += 1
         if _obs.METRICS_ON:
@@ -446,12 +444,6 @@ class TokenAuthority:
                 _obs.METRICS.inc("capability_tokens_stale", reason="expired")
             return False
         return True
-
-
-def _token_fields(token: CapabilityToken) -> dict:
-    return {
-        name: getattr(token, name) for name in CapabilityToken.__slots__
-    }
 
 
 _default_authority: TokenAuthority | None = None

@@ -90,6 +90,10 @@ __all__ = [
 
 SHARD_APP_KIND = "ns.shard"
 
+# Anti-entropy digests split a shard's names into this many buckets.
+_N_BUCKETS = 16
+_HINT_CAPACITY = 1024
+
 _ERROR_KINDS = {
     "unknown": UnknownNameError,
     "duplicate": DuplicateNameError,
@@ -323,9 +327,7 @@ class ReplicaNameHost:
         ring: HashRing,
         shard_id: str,
         *,
-        n_buckets: int = 16,
         timeout: float = 10.0,
-        hint_capacity: int = 1024,
     ) -> None:
         if secure_host.name not in ring.replicas(shard_id):
             raise NamingError(
@@ -340,13 +342,12 @@ class ReplicaNameHost:
             node for node in ring.replicas(shard_id) if node != self.name
         )
         self.store = ShardStore()
-        self.n_buckets = n_buckets
         self.stats = Counter()
         self._timeout = timeout
         # Held hints: (target replica, name) → newest record awaiting
-        # delivery.  Bounded; overflow drops the incoming hint (counted).
+        # delivery.  Bounded by _HINT_CAPACITY; overflow drops the
+        # incoming hint (counted).
         self._hints: dict[tuple[str, URN], VersionedRecord] = {}
-        self._hint_capacity = hint_capacity
         self._crashed = False
         self._sweep_interval: float | None = None
         self._sweep_timer = None
@@ -454,7 +455,7 @@ class ReplicaNameHost:
         existing = self._hints.get(key)
         if existing is not None and existing.version >= record.version:
             return
-        if existing is None and len(self._hints) >= self._hint_capacity:
+        if existing is None and len(self._hints) >= _HINT_CAPACITY:
             self.stats.add("hints_dropped")
             return
         self._hints[key] = record
@@ -541,17 +542,17 @@ class ReplicaNameHost:
     def _reconcile(self, peer: str, summary: dict[str, int]) -> None:
         channel = self.secure.connect(peer, timeout=self._timeout)
         theirs = self._peer_call(
-            channel, {"op": "digest", "buckets": self.n_buckets}
+            channel, {"op": "digest", "buckets": _N_BUCKETS}
         )
-        mine = self.store.digests(self.n_buckets)
+        mine = self.store.digests(_N_BUCKETS)
         if not isinstance(theirs, list) or len(theirs) != len(mine):
             raise NamingError(f"digest shape mismatch from {peer}")
-        for bucket in range(self.n_buckets):
+        for bucket in range(_N_BUCKETS):
             if mine[bucket] == theirs[bucket]:
                 continue
             pulled = self._peer_call(
                 channel,
-                {"op": "pull", "bucket": bucket, "buckets": self.n_buckets},
+                {"op": "pull", "bucket": bucket, "buckets": _N_BUCKETS},
             )
             seen: dict[URN, tuple[int, int, float, str]] = {}
             for record in pulled:
@@ -561,7 +562,7 @@ class ReplicaNameHost:
                 if self.store.merge(record):
                     summary["records_in"] += 1
                     self.stats.add("repair_records_in")
-            for record in self.store.bucket_records(bucket, self.n_buckets):
+            for record in self.store.bucket_records(bucket, _N_BUCKETS):
                 known = seen.get(record.name)
                 if known is None or known < record.version:
                     self._peer_call(channel, {"op": "repair", "record": record})

@@ -90,6 +90,9 @@ from repro.util.serialization import decode, encode
 
 __all__ = ["AgentServer"]
 
+# Retry schedule for delivering agent reports to their home site.
+_REPORT_RETRY = RetryPolicy(attempts=3, base_delay=0.2, max_delay=5.0)
+
 
 def _revoke_holder_tokens(domain: ProtectionDomain) -> None:
     """Kill the capability tokens of an agent that stopped existing.
@@ -119,16 +122,13 @@ class AgentServer:
         admission: AdmissionPolicy | None = None,
         transfer_timeout: float = 60.0,
         transfer_retry: RetryPolicy | None = None,
-        report_retry: RetryPolicy | None = None,
         breaker_failure_threshold: int = 8,
         breaker_reset_timeout: float = 60.0,
-        dedup_capacity: int = 1024,
         forward_restriction: "Rights | None" = None,
         resident_lifetime_limit: float | None = None,
         audit_capacity: int | None = None,
         supervision: SupervisorConfig | None = None,
         appraisal: bool = True,
-        quarantine_duration: float = 3600.0,
         membership: MembershipConfig | None = None,
         recovery: RecoveryConfig | None = None,
     ) -> None:
@@ -147,14 +147,11 @@ class AgentServer:
         # circuit breakers, the sender-side departure journal (crash
         # recovery) and the receiver-side dedup table (idempotent ATP).
         self.transfer_retry = transfer_retry or RetryPolicy()
-        self.report_retry = report_retry or RetryPolicy(
-            attempts=3, base_delay=0.2, max_delay=5.0
-        )
         self._breaker_failure_threshold = breaker_failure_threshold
         self._breaker_reset_timeout = breaker_reset_timeout
         self._breakers: dict[str, CircuitBreaker] = {}
         self._journal = DepartureJournal()
-        self._transfer_dedup = DedupTable(dedup_capacity)
+        self._transfer_dedup = DedupTable()
         self._transfer_ids = IdGenerator(f"{name}/xfer")
         # Seeded jitter stream, forked once so transfer retries do not
         # perturb the secure-channel nonce stream.
@@ -210,7 +207,6 @@ class AgentServer:
                 trust_anchor=trust_anchor,
                 clock=self.clock,
                 rng=random.Random(rng.getrandbits(64)),
-                quarantine_duration=quarantine_duration,
             )
             self.admission.integrity = self.integrity
         # Red-team hook (installed by the fault injector's malicious-host
@@ -882,7 +878,7 @@ class AgentServer:
         call_with_retries(
             attempt,
             kernel=self.kernel,
-            policy=self.report_retry,
+            policy=_REPORT_RETRY,
             rng=self._retry_rng,
             retry_on=(NetworkError,),
             on_retry=note_retry,

@@ -591,9 +591,14 @@ class ResourceSupervisor:
     # -- containment ---------------------------------------------------------
 
     def kill_runaway(self, domain_id: str, reason: str) -> bool:
-        """Contain a runaway resident: kill, revoke, finalize, audit."""
+        """Contain a runaway resident: kill, revoke, finalize, audit.
+
+        A kill that finds nothing alive (the agent finished before a
+        deferred kill fired) leaves its record and the counters alone.
+        """
         server = self.server
-        killed = server.terminate_resident(domain_id)
+        if not server.terminate_resident(domain_id):
+            return False
         revoked = 0
         try:
             record = server.domain_db.get(domain_id)
@@ -613,10 +618,6 @@ class ResourceSupervisor:
                     except ReproError:
                         continue
                     revoked += resource.revoke_for(domain_id)
-            with server.domain_db.privileged():
-                if domain_id in server.domain_db:
-                    server.domain_db.set_status(domain_id, "terminated")
-        self.forget_domain(domain_id)
         self.stats.add("agents_killed_runaway")
         server.stats.add("agents_killed_runaway")
         server.audit.record(
@@ -626,11 +627,11 @@ class ResourceSupervisor:
         if _obs.TRACING:
             _obs.annotate(
                 "supervisor.runaway_kill", domain_id,
-                reason=reason, revoked=revoked, killed_thread=killed,
+                reason=reason, revoked=revoked, killed_thread=True,
             )
         if _obs.METRICS_ON:
             _obs.METRICS.inc("supervisor_runaway_kills")
-        return killed
+        return True
 
     # -- leases ---------------------------------------------------------------
 

@@ -36,6 +36,13 @@ from repro.util.rng import make_rng
 
 __all__ = ["Testbed"]
 
+# Shape of the replicated directory (``replicated_name_service=True``):
+# shards x replicas per shard, with write/read quorums W + R > N.
+_NS_SHARDS = 2
+_NS_REPLICAS = 3
+_NS_WRITE_QUORUM = 2
+_NS_READ_QUORUM = 2
+
 
 class Testbed:
     """A ready-to-run mobile-agent world."""
@@ -56,10 +63,6 @@ class Testbed:
         server_kwargs: dict[str, Any] | None = None,
         remote_name_service: bool = False,
         replicated_name_service: bool = False,
-        ns_shards: int = 2,
-        ns_replicas: int = 3,
-        ns_write_quorum: int = 2,
-        ns_read_quorum: int = 2,
         ns_anti_entropy: float | None = None,
         ns_timeout: float = 10.0,
         ns_stale_read_limit: float | None = None,
@@ -69,7 +72,6 @@ class Testbed:
         supervision: Any | None = None,
         self_healing: bool = False,
         membership_config: Any | None = None,
-        recovery_config: Any | None = None,
     ) -> None:
         if n_servers < 1:
             raise ValueError("need at least one server")
@@ -96,9 +98,7 @@ class Testbed:
         self._registry_secure = None
         self.ns_ring = None
         self.ns_hosts: dict[str, Any] = {}
-        self._ns_quorums = (ns_write_quorum, ns_read_quorum)
         self._ns_anti_entropy = ns_anti_entropy
-        self._ns_shape = (ns_shards, ns_replicas)
         self._ns_timeout = ns_timeout
         self._ns_stale_read_limit = ns_stale_read_limit
         self._ns_retry = ns_retry
@@ -120,24 +120,18 @@ class Testbed:
             self._server_kwargs.setdefault("supervision", supervision)
         # Self-healing control plane: heartbeat failure detection plus
         # checkpoint/re-homing on every server.  ``self_healing=True``
-        # takes the defaults; either config can also be passed alone.
-        self._self_healing = bool(
-            self_healing
-            or membership_config is not None
-            or recovery_config is not None
-        )
-        if self_healing or membership_config is not None:
+        # arms both; a membership config alone arms only the detector.
+        self._self_healing = bool(self_healing or membership_config is not None)
+        if self._self_healing:
             from repro.server.membership import MembershipConfig
 
             self._server_kwargs.setdefault(
                 "membership", membership_config or MembershipConfig()
             )
-        if self_healing or recovery_config is not None:
+        if self_healing:
             from repro.server.recovery import RecoveryConfig
 
-            self._server_kwargs.setdefault(
-                "recovery", recovery_config or RecoveryConfig()
-            )
+            self._server_kwargs.setdefault("recovery", RecoveryConfig())
         # The world's own instruments: hook-fed metrics and the fault
         # injector.  Per-host counters live on each node's telemetry unit;
         # scrape() merges the two.
@@ -228,12 +222,12 @@ class Testbed:
         from repro.naming.replicated import DirectoryOracle, ReplicaNameHost
         from repro.naming.shard import HashRing
 
-        n_shards, n_replicas = self._ns_shape
         shards = {
             f"shard{s}": tuple(
-                f"urn:server:registry.net/ns{s}r{r}" for r in range(n_replicas)
+                f"urn:server:registry.net/ns{s}r{r}"
+                for r in range(_NS_REPLICAS)
             )
-            for s in range(n_shards)
+            for s in range(_NS_SHARDS)
         }
         self.ns_ring = HashRing(shards)
         for shard_id, nodes in shards.items():
@@ -281,13 +275,12 @@ class Testbed:
         if self._replicated_ns:
             from repro.naming.replicated import ReplicatedNameClient
 
-            write_quorum, read_quorum = self._ns_quorums
             breaker_threshold, breaker_reset = self._ns_breakers
             server.name_service = ReplicatedNameClient(
                 server.secure,
                 self.ns_ring,
-                write_quorum=write_quorum,
-                read_quorum=read_quorum,
+                write_quorum=_NS_WRITE_QUORUM,
+                read_quorum=_NS_READ_QUORUM,
                 timeout=self._ns_timeout,
                 stale_read_limit=self._ns_stale_read_limit,
                 retry=self._ns_retry,

@@ -355,3 +355,75 @@ def test_supervision_errors_are_not_security_exceptions():
     ):
         assert issubclass(exc_type, SupervisionError)
         assert not issubclass(exc_type, SecurityException)
+
+
+# ---------------------------------------------------------------------------
+# Metered-budget leg of runaway containment
+# ---------------------------------------------------------------------------
+
+PAID = "urn:resource:site0.net/paid-db"
+
+
+@register_trusted_agent_class
+class OverBudgetQuery(Agent):
+    """One query that costs more than the runaway budget, then either
+    completes at once or blocks (so the deferred kill finds it alive)."""
+
+    def __init__(self) -> None:
+        self.linger = 0.0
+
+    def run(self):
+        self.host.get_resource(PAID).query("*")
+        if self.linger:
+            self.host.sleep(self.linger)
+        self.complete()
+
+
+def budget_testbed() -> Testbed:
+    from repro.apps.database import QueryStore
+    from repro.core.accounting import Tariff
+
+    bed = Testbed(
+        1,
+        supervision=SupervisorConfig(
+            invoke_deadline=None, lease_duration=None, runaway_budget=1.0
+        ),
+    )
+    policy = SecurityPolicy(
+        rules=[PolicyRule("any", "*", Rights.all(), metered=True, confine=False)]
+    )
+    bed.home.install_resource(
+        QueryStore(URN.parse(PAID), OWNER, policy, initial={"k": 1},
+                   tariff=Tariff.of({"query": 5.0}))
+    )
+    return bed
+
+
+def test_budget_kill_leaves_a_finished_agent_alone():
+    bed = budget_testbed()
+    image = bed.launch(OverBudgetQuery(), Rights.all(), agent_local="spender")
+    bed.run()
+    # The over-budget call was the agent's last: it completed before the
+    # deferred kill fired, so the kill finds nothing to contain.
+    assert bed.home.resident_status(image.name)["status"] == "completed"
+    assert bed.home.stats["agents_completed"] == 1
+    assert bed.home.stats["agents_killed_runaway"] == 0
+    assert bed.home.supervisor.stats["agents_killed_runaway"] == 0
+    assert bed.home.audit.records(operation="agent.runaway_kill") == []
+
+
+def test_budget_kill_contains_a_blocked_agent():
+    bed = budget_testbed()
+    agent = OverBudgetQuery()
+    agent.linger = 5.0
+    image = bed.launch(agent, Rights.all(), agent_local="spender")
+    bed.run()
+    assert bed.home.resident_status(image.name)["status"] == "terminated"
+    assert bed.home.stats["agents_completed"] == 0
+    assert bed.home.stats["agents_killed_runaway"] == 1
+    assert bed.home.supervisor.stats["agents_killed_runaway"] == 1
+    kills = bed.home.audit.records(operation="agent.runaway_kill")
+    assert len(kills) == 1 and "1 grant(s) revoked" in kills[0].detail
+    record = bed.home.domain_db.by_agent(image.name)
+    assert record.bindings
+    assert all(b.proxy.proxy_info()["revoked"] for b in record.bindings)
