@@ -45,6 +45,7 @@ from dataclasses import dataclass, replace
 from repro.crypto.mac import HmacKey
 from repro.errors import TokenInvalidError
 from repro.obs import runtime as _obs
+from repro.sandbox.domain import RING_TRUSTED, RING_UNTRUSTED, RING_VERIFIED
 
 __all__ = [
     "RING_TRUSTED",
@@ -64,10 +65,6 @@ __all__ = [
 ]
 
 # -- protection rings --------------------------------------------------------
-
-RING_TRUSTED = 0  # the launcher's own agents: minimal bookkeeping
-RING_VERIFIED = 1  # verified credentials + trusted code: standard checks
-RING_UNTRUSTED = 2  # carries code / unknown provenance: full mediation
 
 RING_NAMES = {RING_TRUSTED: "ring0", RING_VERIFIED: "ring1", RING_UNTRUSTED: "ring2"}
 

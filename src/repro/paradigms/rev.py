@@ -8,6 +8,8 @@ Shipped code goes through the same safety machinery as agent code: the
 AST verifier, then execution in an isolated namespace whose only trusted
 bindings are the *exports* the server chose to offer.  REV is thus "an
 agent that cannot move on": one hop, no persistent state, no itinerary.
+Verified code is cached per service, so a repeated request is not
+verified again; each request still runs in a fresh namespace.
 """
 
 from __future__ import annotations
@@ -15,6 +17,7 @@ from __future__ import annotations
 from typing import Any
 
 from repro.errors import NetworkError, ReproError
+from repro.sandbox.codecache import CodeVerificationCache
 from repro.sandbox.namespace import AgentNamespace
 from repro.sandbox.verifier import VerifierPolicy
 from repro.server.agent_server import AgentServer
@@ -39,6 +42,8 @@ class RevService:
         self._server = server
         self._exports = dict(exports)
         self._policy = verifier_policy or VerifierPolicy()
+        # A repeated request ships the same source: verify it once.
+        self.code_cache = CodeVerificationCache()
         self._ns_ids = IdGenerator(f"rev:{server.name}")
         server.secure.bind_app(_APP_KIND, self._on_eval)
 
@@ -46,7 +51,10 @@ class RevService:
         try:
             request = decode(body)
             namespace = AgentNamespace(
-                self._ns_ids.next(), trusted=self._exports, policy=self._policy
+                self._ns_ids.next(),
+                trusted=self._exports,
+                policy=self._policy,
+                code_cache=self.code_cache,
             )
             namespace.load(request["source"])
             function = namespace.get(request["func"])

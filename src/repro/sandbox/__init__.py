@@ -10,6 +10,9 @@ plus the thread-group domain identification of section 5.3:
   impostor-class rejection (the class-loader analogue): privileged names
   always resolve to the server's trusted classes, and one agent's code
   can never be seen or shadowed by another's.
+- :mod:`repro.sandbox.codecache` — verify once, compile once: each
+  server keeps the code it accepted, keyed by source digest and policy,
+  and every namespace executes it into its own globals.
 - :mod:`repro.sandbox.threadgroup` — thread groups identify protection
   domains; the *current* group is derived from execution context, never
   from caller-supplied arguments.

@@ -18,14 +18,25 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING
 
-from repro.core.token import RING_VERIFIED
 from repro.sandbox.namespace import AgentNamespace
 from repro.sandbox.threadgroup import ThreadGroup, current_group
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.credentials.delegation import DelegatedCredentials
 
-__all__ = ["ProtectionDomain", "current_domain"]
+__all__ = [
+    "ProtectionDomain",
+    "current_domain",
+    "RING_TRUSTED",
+    "RING_VERIFIED",
+    "RING_UNTRUSTED",
+]
+
+# Protection rings (re-exported by repro.core.token).  They are defined at
+# this layer so the sandbox never imports repro.core, which imports it.
+RING_TRUSTED = 0  # the launcher's own agents: minimal bookkeeping
+RING_VERIFIED = 1  # verified credentials + trusted code: standard checks
+RING_UNTRUSTED = 2  # carries code / unknown provenance: full mediation
 
 
 class ProtectionDomain:

@@ -11,6 +11,12 @@ set plus the server's *trusted bindings*; top-level definitions that
 would shadow a trusted name are rejected (:class:`NamespaceError`), and
 every namespace is a separate dict, so nothing an agent defines is
 visible to any other agent.
+
+Verification and compilation go through
+:func:`~repro.sandbox.codecache.compile_verified`; a namespace given a
+server's :class:`~repro.sandbox.codecache.CodeVerificationCache` reuses
+code that server already verified, and only executes it into its own
+globals.
 """
 
 from __future__ import annotations
@@ -18,8 +24,9 @@ from __future__ import annotations
 from typing import Any, Mapping
 
 from repro.errors import NamespaceError
-from repro.sandbox.instrument import LOOP_CHECK_NAME, LoopBudget, instrument_loops
-from repro.sandbox.verifier import VerifierPolicy, verify_source
+from repro.sandbox.codecache import CodeVerificationCache, compile_verified
+from repro.sandbox.instrument import LOOP_CHECK_NAME, LoopBudget
+from repro.sandbox.verifier import VerifierPolicy
 
 __all__ = ["AgentNamespace", "SAFE_BUILTINS"]
 
@@ -71,9 +78,13 @@ class AgentNamespace:
         name: str,
         trusted: Mapping[str, Any] | None = None,
         policy: VerifierPolicy | None = None,
+        code_cache: CodeVerificationCache | None = None,
     ) -> None:
         self.name = name
         self.policy = policy or VerifierPolicy()
+        self._compile = (
+            compile_verified if code_cache is None else code_cache.verify
+        )
         self._trusted = dict(trusted or {})
         for key in self._trusted:
             if key.startswith("__"):
@@ -111,46 +122,21 @@ class AgentNamespace:
         code and :class:`NamespaceError` if a top-level definition would
         shadow a trusted binding (the impostor-class defence).
         """
-        tree = verify_source(source, self.policy)
-        impostors = sorted(
-            self._top_level_names(tree) & set(self._trusted)
-        )
+        verified = self._compile(source, self.policy)
+        impostors = sorted(verified.names & self._trusted.keys())
         if impostors:
             raise NamespaceError(
                 f"namespace {self.name!r}: code attempts to shadow trusted"
                 f" name(s) {', '.join(impostors)}"
             )
         before = set(self._globals)
-        tree = instrument_loops(tree)
-        code = compile(tree, filename=f"<agentns:{self.name}>", mode="exec")
-        exec(code, self._globals)  # noqa: S102 - verified + restricted globals
+        exec(verified.code, self._globals)  # noqa: S102 - verified + restricted globals
         self._loaded_sources += 1
         return {
             key: value
             for key, value in self._globals.items()
             if key not in before
         }
-
-    @staticmethod
-    def _top_level_names(tree) -> set[str]:
-        import ast
-
-        names: set[str] = set()
-        for node in tree.body:
-            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
-                names.add(node.name)
-            elif isinstance(node, ast.Assign):
-                for target in node.targets:
-                    for sub in ast.walk(target):
-                        if isinstance(sub, ast.Name):
-                            names.add(sub.id)
-            elif isinstance(node, (ast.AnnAssign, ast.AugAssign)):
-                if isinstance(node.target, ast.Name):
-                    names.add(node.target.id)
-            elif isinstance(node, (ast.Import, ast.ImportFrom)):
-                for alias in node.names:
-                    names.add(alias.asname or alias.name.split(".", 1)[0])
-        return names
 
     # -- access ----------------------------------------------------------------
 

@@ -31,8 +31,8 @@ from dataclasses import dataclass, field
 
 from repro.errors import CodeVerificationError
 
-__all__ = ["VerifierPolicy", "verify_source", "DEFAULT_ALLOWED_IMPORTS",
-           "BANNED_BUILTINS"]
+__all__ = ["VerifierPolicy", "verify_source", "check_source_size",
+           "DEFAULT_ALLOWED_IMPORTS", "BANNED_BUILTINS"]
 
 DEFAULT_ALLOWED_IMPORTS = frozenset({"math", "itertools", "functools"})
 
@@ -94,6 +94,18 @@ class _Checker(ast.NodeVisitor):
     def __init__(self, policy: VerifierPolicy, findings: _Findings) -> None:
         self.policy = policy
         self.findings = findings
+        self.nodes = 0
+
+    def visit(self, node: ast.AST) -> None:
+        # Every node passes through here once, so the AST size cap needs
+        # no separate walk of the tree.
+        self.nodes += 1
+        getattr(self, "visit_" + node.__class__.__name__, self.generic_visit)(node)
+
+    def _reject_subtree(self, node: ast.AST, reason: str) -> None:
+        self.findings.add(node, reason)
+        # The subtree goes unchecked but still counts toward the size cap.
+        self.nodes += sum(1 for _ in ast.walk(node)) - 1
 
     # -- imports -------------------------------------------------------------
 
@@ -167,7 +179,7 @@ class _Checker(ast.NodeVisitor):
         self.generic_visit(node)
 
     def visit_AsyncFunctionDef(self, node: ast.AsyncFunctionDef) -> None:
-        self.findings.add(node, "async functions not allowed in agent code")
+        self._reject_subtree(node, "async functions not allowed in agent code")
 
     def visit_ClassDef(self, node: ast.ClassDef) -> None:
         self._check_def_name(node, node.name)
@@ -183,36 +195,50 @@ class _Checker(ast.NodeVisitor):
     # -- misc dangerous constructs ---------------------------------------------------
 
     def visit_Await(self, node: ast.Await) -> None:
-        self.findings.add(node, "await not allowed in agent code")
+        self._reject_subtree(node, "await not allowed in agent code")
 
     def visit_Yield(self, node: ast.Yield) -> None:
         # generators are fine; nothing to check
         self.generic_visit(node)
 
 
+def check_source_size(source: str, policy: VerifierPolicy) -> None:
+    """Refuse source over the policy's byte cap, before any other work."""
+    size = len(source.encode("utf-8", errors="replace"))
+    if size > policy.max_source_bytes:
+        raise CodeVerificationError(
+            f"source too large ({size} bytes > {policy.max_source_bytes})"
+        )
+
+
 def verify_source(source: str, policy: VerifierPolicy | None = None) -> ast.Module:
     """Verify agent source; returns the parsed module or raises.
 
     Raises :class:`~repro.errors.CodeVerificationError` whose message
-    lists every violation found.
+    lists every violation found.  An oversized AST is reported alone,
+    whatever else is wrong with it.
     """
     policy = policy or VerifierPolicy()
-    raw = source.encode("utf-8", errors="replace")
-    if len(raw) > policy.max_source_bytes:
-        raise CodeVerificationError(
-            f"source too large ({len(raw)} bytes > {policy.max_source_bytes})"
-        )
+    check_source_size(source, policy)
     try:
         tree = ast.parse(source)
     except SyntaxError as exc:
         raise CodeVerificationError(f"syntax error: {exc}") from exc
-    node_count = sum(1 for _ in ast.walk(tree))
+    findings = _Findings()
+    checker = _Checker(policy, findings)
+    try:
+        checker.visit(tree)
+        node_count = checker.nodes
+    except RecursionError:
+        # Too deep for the recursive checker: size the tree iteratively
+        # so an oversized AST is still reported as such.
+        node_count = sum(1 for _ in ast.walk(tree))
+        if node_count <= policy.max_ast_nodes:
+            raise CodeVerificationError("AST nested too deeply") from None
     if node_count > policy.max_ast_nodes:
         raise CodeVerificationError(
             f"AST too large ({node_count} nodes > {policy.max_ast_nodes})"
         )
-    findings = _Findings()
-    _Checker(policy, findings).visit(tree)
     if findings.violations:
         detail = "; ".join(findings.violations)
         raise CodeVerificationError(f"code verification failed: {detail}")

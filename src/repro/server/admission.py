@@ -17,7 +17,9 @@ Checks, in order (cheapest first, so junk is rejected early):
    hash-chained appraisal record (and, at the agent's home site, the
    itinerary commitment) — tampered state, forged travel history and
    replayed images are refused here;
-5. for untrusted code: the source passes the code verifier.
+5. for untrusted code: the source passes the code verifier — once per
+   distinct source and verifier policy on this server; later arrivals
+   of the same bytes reuse the cached verdict and compiled code.
 
 A refusal raises a :class:`SecurityException` subclass naming the check.
 
@@ -40,7 +42,8 @@ from repro.credentials.rights import compiled_matcher
 from repro.crypto.trust import TrustAnchor
 from repro.errors import CodeVerificationError, CredentialError, TransferError
 from repro.obs import runtime as _obs
-from repro.sandbox.verifier import VerifierPolicy, verify_source
+from repro.sandbox.codecache import CodeVerificationCache
+from repro.sandbox.verifier import VerifierPolicy
 from repro.util.clock import Clock
 
 __all__ = ["AdmissionPolicy", "RingPolicy"]
@@ -118,6 +121,11 @@ class AdmissionPolicy:
             if credential_cache is not None
             else CredentialVerificationCache()
         )
+        # Shipped code verified and compiled once on this server; every
+        # later arrival of the same source under the same policy reuses
+        # it, and resident namespaces load from it.  See
+        # repro.sandbox.codecache.
+        self.code_cache = CodeVerificationCache()
         # Opt-in trust tiers; None = everyone is ring 1 (uniform mediation).
         self.ring_policy = ring_policy
         # The server's IntegrityAuthority, attached by AgentServer when
@@ -199,4 +207,4 @@ class AdmissionPolicy:
                 raise CodeVerificationError(
                     "this server does not accept agents carrying code"
                 )
-            verify_source(image.source, self.verifier_policy)
+            self.code_cache.verify(image.source, self.verifier_policy)

@@ -358,6 +358,7 @@ class AgentServer:
                 domain_id,
                 trusted={"Agent": Agent},
                 policy=self.admission.verifier_policy,
+                code_cache=self.admission.code_cache,
             )
         domain = ProtectionDomain(
             domain_id,

@@ -107,6 +107,18 @@ class TestRev:
                 bed, lambda: client.evaluate(bed.servers[1].name, src, "f")
             )
 
+    def test_repeated_source_verified_once_with_fresh_globals(self):
+        bed = Testbed(2)
+        service = RevService(bed.servers[1], exports={})
+        client = RevClient(bed.home)
+        src = "SEEN = []\ndef f(x):\n    SEEN.append(x)\n    return len(SEEN)\n"
+        for arg in (1, 2, 3):
+            result = run_client(
+                bed, lambda a=arg: client.evaluate(bed.servers[1].name, src, "f", a)
+            )
+            assert result == 1  # each request runs in its own globals
+        assert service.code_cache.stats() == {"hits": 2, "misses": 1, "size": 1}
+
     def test_each_evaluation_isolated(self):
         bed = Testbed(2)
         RevService(bed.servers[1], exports={})

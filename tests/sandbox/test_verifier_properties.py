@@ -6,17 +6,23 @@ Two directions:
   grammar are accepted, load, and compute what plain ``exec`` computes;
 * **completeness of rejection** — splicing any banned construct into an
   otherwise benign program flips the verdict to rejected.
+
+Plus the code cache: whatever the order of sources and policies, a
+cached verdict is the verdict :func:`verify_source` gives uncached.
 """
 
 from __future__ import annotations
+
+import ast
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.errors import CodeVerificationError, NamespaceError
+from repro.sandbox.codecache import CodeVerificationCache
 from repro.sandbox.namespace import AgentNamespace
-from repro.sandbox.verifier import verify_source
+from repro.sandbox.verifier import VerifierPolicy, verify_source
 
 # ---------------------------------------------------------------------------
 # A tiny grammar of benign agent-ish programs
@@ -126,3 +132,64 @@ def test_property_namespaces_never_leak(source_a, source_b):
     # Names defined in A exist in A; B's extra marker never appears in A.
     assert "RESULT" in ns_a
     assert "UNTOUCHED" not in ns_a
+
+
+# ---------------------------------------------------------------------------
+# The code cache: a cached verdict is the uncached verdict
+# ---------------------------------------------------------------------------
+
+_POLICIES = [
+    VerifierPolicy(),
+    VerifierPolicy(allowed_imports=frozenset({"math", "os", "socket"})),
+    VerifierPolicy(max_ast_nodes=40),
+    VerifierPolicy(max_source_bytes=80),
+]
+
+
+@st.composite
+def verdict_source(draw):
+    source = draw(benign_program())
+    if draw(st.booleans()):
+        source += draw(st.sampled_from(_BANNED_SNIPPETS)) + "\n"
+    return source
+
+
+def _verdict(check, source, policy):
+    try:
+        check(source, policy)
+    except CodeVerificationError as exc:
+        return "rejected", str(exc)
+    return "accepted", None
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    st.lists(verdict_source(), min_size=1, max_size=3),
+    st.lists(
+        st.tuples(st.integers(min_value=0, max_value=2), st.sampled_from(_POLICIES)),
+        min_size=1,
+        max_size=12,
+    ),
+)
+def test_property_cached_verdict_equals_uncached(sources, picks):
+    cache = CodeVerificationCache(maxsize=4)
+    # A small pool of sources, drawn again and again under any policy in
+    # any order: repeats meet entries made under the same or another policy.
+    for index, policy in picks:
+        source = sources[index % len(sources)]
+        assert _verdict(cache.verify, source, policy) == _verdict(
+            verify_source, source, policy
+        )
+
+
+@settings(max_examples=50, deadline=None)
+@given(benign_program(), st.sampled_from(_BANNED_SNIPPETS + [""]))
+def test_property_size_cap_counts_every_node(source, snippet):
+    source += snippet + "\n"
+    nodes = sum(1 for _ in ast.walk(ast.parse(source)))
+    with pytest.raises(CodeVerificationError, match=rf"AST too large \({nodes} "):
+        verify_source(source, VerifierPolicy(max_ast_nodes=nodes - 1))
+    _, message = _verdict(
+        verify_source, source, VerifierPolicy(max_ast_nodes=nodes)
+    )
+    assert message is None or "AST too large" not in message

@@ -184,3 +184,41 @@ class Prober(Agent):
     bed.run()
     reports = [r["payload"] for r in target.reports]
     assert reports == [{"leaked": False}]
+
+
+def test_each_server_verifies_shipped_code_once():
+    """Verify once, compile once: later arrivals of the same source hit."""
+    tourist = """
+class Tourist(Agent):
+    def run(self):
+        self.visited = self.visited + [self.host.server_name()]
+        if self.route:
+            nxt = self.route[0]
+            self.route = self.route[1:]
+            self.go(nxt, "run")
+        self.host.report_home({"visited": self.visited})
+        self.complete()
+"""
+    bed = Testbed(4)
+    stops = [s.name for s in bed.servers[1:]] + [bed.home.name]
+    agents = 3
+    for i in range(agents):
+        bed.launch_source(
+            tourist, "Tourist", Rights.all(),
+            state={"visited": [], "route": list(stops)},
+            agent_local=f"tourist{i}",
+        )
+    bed.run()
+    assert [r["payload"]["visited"] for r in bed.home.reports] == [
+        [s.name for s in bed.servers] + [bed.home.name]
+    ] * agents
+    for server in bed.servers:
+        arrivals = server.stats["transfers_in"] + (
+            agents if server is bed.home else 0
+        )
+        assert arrivals == (2 * agents if server is bed.home else agents)
+        # Admission verifies through the cache and the resident's
+        # namespace loads through it: one miss, then hits only.
+        assert server.admission.code_cache.stats() == {
+            "hits": 2 * arrivals - 1, "misses": 1, "size": 1,
+        }

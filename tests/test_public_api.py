@@ -2,6 +2,11 @@
 
 from __future__ import annotations
 
+import os
+import pathlib
+import subprocess
+import sys
+
 import pytest
 
 import repro
@@ -67,3 +72,17 @@ def test_readme_quickstart_runs():
     bed.launch(ReadmeGreeter(), rights=Rights.of("Buffer.*"))
     bed.run()
     assert mailbox.get() == "hello"
+
+
+@pytest.mark.parametrize(
+    "module", ["repro.sandbox", "repro.sandbox.codecache", "repro.core"]
+)
+def test_package_imports_first_in_a_fresh_interpreter(module):
+    """No import cycle between the sandbox and core, whichever comes first."""
+    src = str(pathlib.Path(repro.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    result = subprocess.run(
+        [sys.executable, "-c", f"import {module}"],
+        env=env, capture_output=True, text=True, timeout=60,
+    )
+    assert result.returncode == 0, result.stderr
