@@ -42,6 +42,7 @@ from repro.sandbox.instrument import instrument_loops
 from repro.sandbox.verifier import VerifierPolicy, check_source_size, verify_source
 
 __all__ = [
+    "CODE_CACHE_BYTES",
     "CODE_CACHE_SIZE",
     "CodeVerificationCache",
     "VerifiedCode",
@@ -51,6 +52,12 @@ __all__ = [
 
 #: Distinct (source, policy) pairs one server keeps compiled.
 CODE_CACHE_SIZE = 256
+#: Total source bytes one server keeps compiled.  A compiled module can
+#: take some 20x its source (one code object per tiny ``def`` or
+#: ``lambda``): by entries alone, 256 such sources at the AST node cap
+#: pin ~0.7 GB; under this budget a full cache holds ~23 MB.  A typical
+#: agent ships under 4 KiB, so for it the entry count binds first.
+CODE_CACHE_BYTES = 1 << 20
 
 
 @dataclass(frozen=True, slots=True)
@@ -68,9 +75,7 @@ def source_digest(source: str) -> str:
     return hashlib.sha256(source.encode("utf-8", "surrogatepass")).hexdigest()
 
 
-def compile_verified(
-    source: str, policy: VerifierPolicy, digest: str | None = None
-) -> VerifiedCode:
+def compile_verified(source: str, policy: VerifierPolicy) -> VerifiedCode:
     """Verify, instrument and compile ``source``; raise if it is refused.
 
     The code object is named after the source's digest, so tracebacks
@@ -78,9 +83,9 @@ def compile_verified(
     """
     tree = verify_source(source, policy)
     names = _top_level_names(tree)
-    digest = digest or source_digest(source)
+    filename = f"<agent:{source_digest(source)[:12]}>"
     try:
-        code = compile(instrument_loops(tree), f"<agent:{digest[:12]}>", "exec")
+        code = compile(instrument_loops(tree), filename, "exec")
     except SyntaxError as exc:  # parses, but e.g. ``return`` outside a def
         raise CodeVerificationError(f"syntax error: {exc}") from exc
     return VerifiedCode(code, names)
@@ -108,18 +113,20 @@ def _top_level_names(tree: ast.Module) -> frozenset[str]:
 class CodeVerificationCache:
     """Bounded LRU of accepted code, keyed by source digest and policy.
 
+    Bounded twice: by :data:`CODE_CACHE_SIZE` entries and by
+    :data:`CODE_CACHE_BYTES` of source, whichever binds first.
+
     Takes no lock: a server's simulated threads run one at a time.
     """
 
-    __slots__ = ("_entries", "maxsize", "hits", "misses")
+    __slots__ = ("_entries", "_bytes", "hits", "misses")
 
-    def __init__(self, maxsize: int = CODE_CACHE_SIZE) -> None:
-        if maxsize <= 0:
-            raise ValueError("cache maxsize must be positive")
-        self._entries: OrderedDict[tuple[str, VerifierPolicy], VerifiedCode] = (
-            OrderedDict()
-        )
-        self.maxsize = maxsize
+    def __init__(self) -> None:
+        # key -> (entry, source bytes it is charged)
+        self._entries: OrderedDict[
+            tuple[str, VerifierPolicy], tuple[VerifiedCode, int]
+        ] = OrderedDict()
+        self._bytes = 0
         self.hits = 0
         self.misses = 0
 
@@ -129,18 +136,23 @@ class CodeVerificationCache:
         The size cap is checked before the source is hashed, so an
         oversized arrival costs no more than it did uncached.
         """
-        check_source_size(source, policy)
+        size = check_source_size(source, policy)
         key = (source_digest(source), policy)
-        entry = self._entries.get(key)
-        if entry is not None:
+        found = self._entries.get(key)
+        if found is not None:
             self._entries.move_to_end(key)
             self.hits += 1
-            return entry
+            return found[0]
         self.misses += 1
-        entry = compile_verified(source, policy, key[0])
-        self._entries[key] = entry
-        if len(self._entries) > self.maxsize:
-            self._entries.popitem(last=False)
+        entry = compile_verified(source, policy)
+        if size <= CODE_CACHE_BYTES:  # else returned, never kept
+            self._entries[key] = (entry, size)
+            self._bytes += size
+            while (
+                len(self._entries) > CODE_CACHE_SIZE
+                or self._bytes > CODE_CACHE_BYTES
+            ):
+                self._bytes -= self._entries.popitem(last=False)[1][1]
         return entry
 
     def __len__(self) -> int:

@@ -202,13 +202,17 @@ class _Checker(ast.NodeVisitor):
         self.generic_visit(node)
 
 
-def check_source_size(source: str, policy: VerifierPolicy) -> None:
-    """Refuse source over the policy's byte cap, before any other work."""
+def check_source_size(source: str, policy: VerifierPolicy) -> int:
+    """Refuse source over the policy's byte cap, before any other work.
+
+    Returns the source's size in bytes.
+    """
     size = len(source.encode("utf-8", errors="replace"))
     if size > policy.max_source_bytes:
         raise CodeVerificationError(
             f"source too large ({size} bytes > {policy.max_source_bytes})"
         )
+    return size
 
 
 def verify_source(source: str, policy: VerifierPolicy | None = None) -> ast.Module:

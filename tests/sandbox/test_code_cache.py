@@ -13,6 +13,8 @@ from repro.errors import (
     NamespaceError,
 )
 from repro.sandbox.codecache import (
+    CODE_CACHE_BYTES,
+    CODE_CACHE_SIZE,
     CodeVerificationCache,
     compile_verified,
     source_digest,
@@ -140,22 +142,48 @@ class TestRejections:
 
 class TestBounds:
     def test_evicts_least_recently_used_beyond_capacity(self):
-        cache = CodeVerificationCache(maxsize=2)
-        sources = [f"x = {i}\n" for i in range(3)]
-        cache.verify(sources[0], STRICT)
-        cache.verify(sources[1], STRICT)
+        cache = CodeVerificationCache()
+        sources = [f"x = {i}\n" for i in range(CODE_CACHE_SIZE + 1)]
+        for source in sources[:-1]:
+            cache.verify(source, STRICT)
         cache.verify(sources[0], STRICT)  # 0 is now the most recent
-        cache.verify(sources[2], STRICT)  # evicts 1
-        assert len(cache) == 2
+        cache.verify(sources[-1], STRICT)  # evicts 1
+        assert len(cache) == CODE_CACHE_SIZE
+        misses = cache.misses
         cache.verify(sources[0], STRICT)
-        assert cache.misses == 3
+        assert cache.misses == misses
         cache.verify(sources[1], STRICT)
-        assert cache.misses == 4
-        assert len(cache) == 2
+        assert cache.misses == misses + 1
+        assert len(cache) == CODE_CACHE_SIZE
 
-    def test_capacity_must_be_positive(self):
-        with pytest.raises(ValueError):
-            CodeVerificationCache(maxsize=0)
+
+    def test_evicts_least_recently_used_beyond_byte_budget(self):
+        def sized(i):  # four of these fit the budget, five do not
+            return f"x{i} = '{'a' * (CODE_CACHE_BYTES // 4 - 16)}'\n"
+
+        cache = CodeVerificationCache()
+        for i in range(4):
+            cache.verify(sized(i), STRICT)
+        assert len(cache) == 4
+        cache.verify(sized(0), STRICT)  # 0 is now the most recent
+        cache.verify(sized(4), STRICT)  # evicts 1
+        assert len(cache) == 4
+        misses = cache.misses
+        cache.verify(sized(0), STRICT)
+        assert cache.misses == misses
+        cache.verify(sized(1), STRICT)
+        assert cache.misses == misses + 1
+
+    def test_source_over_byte_budget_is_returned_but_not_kept(self):
+        roomy = VerifierPolicy(max_source_bytes=2 * CODE_CACHE_BYTES)
+        huge = f"x = '{'a' * CODE_CACHE_BYTES}'\n"
+        cache = CodeVerificationCache()
+        cache.verify(COUNTER, roomy)
+        assert "x" in cache.verify(huge, roomy).names
+        cache.verify(huge, roomy)
+        assert cache.stats() == {"hits": 0, "misses": 3, "size": 1}
+        cache.verify(COUNTER, roomy)  # the huge source evicted nothing
+        assert cache.hits == 1
 
 
 class TestCompiledCode:

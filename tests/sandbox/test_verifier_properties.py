@@ -20,6 +20,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.errors import CodeVerificationError, NamespaceError
+from repro.sandbox import codecache
 from repro.sandbox.codecache import CodeVerificationCache
 from repro.sandbox.namespace import AgentNamespace
 from repro.sandbox.verifier import VerifierPolicy, verify_source
@@ -172,14 +173,17 @@ def _verdict(check, source, policy):
     ),
 )
 def test_property_cached_verdict_equals_uncached(sources, picks):
-    cache = CodeVerificationCache(maxsize=4)
+    cache = CodeVerificationCache()
     # A small pool of sources, drawn again and again under any policy in
-    # any order: repeats meet entries made under the same or another policy.
-    for index, policy in picks:
-        source = sources[index % len(sources)]
-        assert _verdict(cache.verify, source, policy) == _verdict(
-            verify_source, source, policy
-        )
+    # any order: repeats meet entries made under the same or another policy,
+    # and a small capacity makes them meet evictions too.
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(codecache, "CODE_CACHE_SIZE", 4)
+        for index, policy in picks:
+            source = sources[index % len(sources)]
+            assert _verdict(cache.verify, source, policy) == _verdict(
+                verify_source, source, policy
+            )
 
 
 @settings(max_examples=50, deadline=None)
