@@ -216,44 +216,33 @@ class AccessProtocol:
         ``error`` carrying the deny reason and the ids of the policy
         rules that matched-but-granted-nothing (empty = default-deny).
         """
-        if _obs.TRACING:
-            with _obs.TRACER.span(
-                "protocol.get_proxy",
-                resource_type=type(self).__name__,
-                domain=context.domain_id,
-                agent=str(credentials.agent),
-            ) as span:
-                return self._authorize(credentials, context, span)
-        return self._authorize(credentials, context, None)
-
-    def _authorize(
-        self,
-        credentials: DelegatedCredentials,
-        context: BindingContext,
-        span,
-    ) -> Resource:
-        """``get_proxy``'s own check: a policy decision granting something."""
-        grant = self._grant_for(credentials)
-        if not grant.enabled:
-            reason = grant.deny_reason()
-            target = type(self).__name__
-            if span is not None:
-                span.set_attribute("deny_rules", list(grant.matched_rules))
-                span.set_status("error", reason)
-            if _obs.METRICS_ON:
-                _obs.METRICS.inc("proxy_grants_denied", resource=target)
-            if context.audit is not None:
-                context.audit.record(
-                    context.domain_id, "resource.get_proxy", target, False,
-                    reason,
+        target = type(self).__name__
+        with _obs.span(
+            "protocol.get_proxy",
+            resource_type=target,
+            domain=context.domain_id,
+            agent=str(credentials.agent),
+        ) as span:
+            grant = self._grant_for(credentials)
+            if not grant.enabled:
+                reason = grant.deny_reason()
+                if span is not None:
+                    span.set_attribute("deny_rules", list(grant.matched_rules))
+                    span.set_status("error", reason)
+                if _obs.METRICS_ON:
+                    _obs.METRICS.inc("proxy_grants_denied", resource=target)
+                if context.audit is not None:
+                    context.audit.record(
+                        context.domain_id, "resource.get_proxy", target, False,
+                        reason,
+                    )
+                raise AccessDeniedError(
+                    f"{credentials.agent} is not granted any access to {target}"
                 )
-            raise AccessDeniedError(
-                f"{credentials.agent} is not granted any access to {target}"
-            )
-        if span is not None:
-            span.set_attribute("enabled_methods", len(grant.enabled))
-            span.set_attribute("matched_rules", list(grant.matched_rules))
-        return self._manufacture(grant, credentials, context, None)
+            if span is not None:
+                span.set_attribute("enabled_methods", len(grant.enabled))
+                span.set_attribute("matched_rules", list(grant.matched_rules))
+            return self._manufacture(grant, credentials, context, None)
 
     def redeem_token(
         self,

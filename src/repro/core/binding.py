@@ -19,8 +19,6 @@ through the very same ``get_resource`` path.
 
 from __future__ import annotations
 
-from contextlib import nullcontext
-
 from repro.core.access_protocol import BindingContext
 from repro.core.domain_db import DomainDatabase
 from repro.core.registry import ResourceRegistry
@@ -34,17 +32,6 @@ from repro.util.audit import AuditLog
 from repro.util.clock import Clock
 
 __all__ = ["BindingService"]
-
-# Stands in for a step's span when tracing is off (reusable, reentrant).
-_UNTRACED = nullcontext()
-
-
-def _step(tracer, span_name: str, name: URN):
-    """One Fig. 6 step's span, or nothing at all when ``tracer`` is None."""
-    return _UNTRACED if tracer is None else tracer.span(
-        span_name, resource=str(name)
-    )
-
 
 class BindingService:
     """Glues registry, policy upcall and domain database together."""
@@ -94,15 +81,12 @@ class BindingService:
 
     def register_resource(self, resource: ResourceImpl) -> None:
         """Make a resource available to agents (mediated)."""
-        if _obs.TRACING:
-            with _obs.TRACER.span(
-                "protocol.register",
-                resource=str(resource.resource_name()),
-                resource_type=type(resource).__name__,
-            ):
-                self.registry.register(resource)
-            return
-        self.registry.register(resource)
+        with _obs.span(
+            "protocol.register",
+            resource=str(resource.resource_name()),
+            resource_type=type(resource).__name__,
+        ):
+            self.registry.register(resource)
 
     # -- steps 2-6 ----------------------------------------------------------------
 
@@ -134,25 +118,25 @@ class BindingService:
             token = CapabilityToken.from_wire(token)
         # With tracing on, one span per Fig. 6 step (step 4 opens its own
         # span inside get_proxy; step 6 is the caller's proxy.invoke).
-        tracer = _obs.TRACER if _obs.TRACING else None
-        with _UNTRACED if tracer is None else tracer.span(
+        resource_name = str(name)
+        with _obs.span(
             "protocol.request",
-            resource=str(name),
+            resource=resource_name,
             domain=domain.domain_id,
             agent=str(domain.credentials.agent),
             ring=f"ring{domain.ring}",
         ):
-            with _step(tracer, "protocol.lookup", name):
+            with _obs.span("protocol.lookup", resource=resource_name):
                 resource = self.registry.lookup(name)  # step 3
             context = self._context_for(domain)
             if token is None:
                 proxy = resource.get_proxy(domain.credentials, context)  # step 4
             else:
-                with _step(tracer, "protocol.redeem_token", name):
+                with _obs.span("protocol.redeem_token", resource=resource_name):
                     proxy = resource.redeem_token(
                         token, domain.credentials, context
                     )
-            with _step(tracer, "protocol.record_binding", name):
+            with _obs.span("protocol.record_binding", resource=resource_name):
                 # step 5: record the binding (trusted code, agent's thread).
                 if domain.domain_id in self.domain_db:
                     with self.domain_db.privileged():

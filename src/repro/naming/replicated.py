@@ -468,41 +468,30 @@ class ReplicaNameHost:
         for key, record in sorted(self._hints.items(), key=lambda kv: str(kv[0])):
             by_target.setdefault(key[0], []).append((key, record))
         for target, entries in by_target.items():
-            if _obs.TRACING:
-                with _obs.TRACER.span(
-                    "ns.handoff", server=self.name, target=target,
-                    records=len(entries),
-                ):
-                    self._deliver_to(target, entries, summary)
-            else:
-                self._deliver_to(target, entries, summary)
-
-    def _deliver_to(
-        self,
-        target: str,
-        entries: list[tuple[tuple[str, URN], VersionedRecord]],
-        summary: dict[str, int],
-    ) -> None:
-        try:
-            channel = self.secure.connect(target, timeout=self._timeout)
-            for key, record in entries:
-                reply = decode(
-                    channel.call(
-                        SHARD_APP_KIND,
-                        encode({"op": "repair", "record": record}),
-                        timeout=self._timeout,
-                    )
-                )
-                # An error reply means the peer holds something newer —
-                # the hint is obsolete either way.
-                self._hints.pop(key, None)
-                self.stats.add("hints_delivered")
-                summary["hints_delivered"] += 1
-                if "error" in reply:
-                    self.stats.add("hints_obsolete")
-        except ReproError:
-            self.stats.add("hint_delivery_failed")
-            self.secure.drop_channel(target)
+            with _obs.span(
+                "ns.handoff", server=self.name, target=target,
+                records=len(entries),
+            ):
+                try:
+                    channel = self.secure.connect(target, timeout=self._timeout)
+                    for key, record in entries:
+                        reply = decode(
+                            channel.call(
+                                SHARD_APP_KIND,
+                                encode({"op": "repair", "record": record}),
+                                timeout=self._timeout,
+                            )
+                        )
+                        # An error reply means the peer holds something
+                        # newer — the hint is obsolete either way.
+                        self._hints.pop(key, None)
+                        self.stats.add("hints_delivered")
+                        summary["hints_delivered"] += 1
+                        if "error" in reply:
+                            self.stats.add("hints_obsolete")
+                except ReproError:
+                    self.stats.add("hint_delivery_failed")
+                    self.secure.drop_channel(target)
 
     # -- anti-entropy --------------------------------------------------------
 
@@ -517,15 +506,13 @@ class ReplicaNameHost:
         }
         if self._crashed:
             return summary
-        if _obs.TRACING:
-            with _obs.TRACER.span(
-                "ns.repair", server=self.name, shard=self.shard_id
-            ) as span:
-                self._sweep(summary)
+        with _obs.span(
+            "ns.repair", server=self.name, shard=self.shard_id
+        ) as span:
+            self._sweep(summary)
+            if span is not None:
                 for key, value in summary.items():
                     span.set_attribute(key, value)
-        else:
-            self._sweep(summary)
         self.stats.add("sweeps")
         return summary
 
@@ -731,17 +718,17 @@ class ReplicatedNameClient:
         attributes: dict[str, Any] | None = None,
     ) -> str:
         self._require_urn(name)
-        return self._traced(
-            "register", name, lambda span: self._register(
-                name, location, dict(attributes or {}), span
-            )
-        )
+        with _obs.span(
+            "ns.quorum", op="register", urn=str(name), client=self._host.name
+        ) as span:
+            return self._register(name, location, dict(attributes or {}), span)
 
     def lookup(self, name: URN) -> NameRecord:
         self._require_urn(name)
-        return self._traced(
-            "lookup", name, lambda span: self._lookup(name, span)
-        )
+        with _obs.span(
+            "ns.quorum", op="lookup", urn=str(name), client=self._host.name
+        ) as span:
+            return self._lookup(name, span)
 
     def contains(self, name: URN) -> bool:
         try:
@@ -752,19 +739,17 @@ class ReplicatedNameClient:
 
     def relocate(self, name: URN, token: str, new_location: str) -> None:
         self._require_urn(name)
-        self._traced(
-            "relocate", name, lambda span: self._update(
-                name, token, span, location=new_location
-            )
-        )
+        with _obs.span(
+            "ns.quorum", op="relocate", urn=str(name), client=self._host.name
+        ) as span:
+            self._update(name, token, span, location=new_location)
 
     def unregister(self, name: URN, token: str) -> None:
         self._require_urn(name)
-        self._traced(
-            "unregister", name, lambda span: self._update(
-                name, token, span, tombstone=True
-            )
-        )
+        with _obs.span(
+            "ns.quorum", op="unregister", urn=str(name), client=self._host.name
+        ) as span:
+            self._update(name, token, span, tombstone=True)
 
     def relocate_async(
         self,
@@ -947,35 +932,28 @@ class ReplicatedNameClient:
         self, name: URN, record: VersionedRecord, missing: list[str], via: str
     ) -> None:
         """Leave hints for unreachable replicas with a reachable one."""
-        if _obs.TRACING:
-            with _obs.TRACER.span(
-                "ns.handoff", client=self._host.name, via=via,
-                targets=",".join(missing), urn=str(name),
-            ):
-                self._send_hints(record, missing, via)
-        else:
-            self._send_hints(record, missing, via)
-
-    def _send_hints(
-        self, record: VersionedRecord, missing: list[str], via: str
-    ) -> None:
-        try:
-            channel = self._host.connect(via, timeout=self._timeout)
-            for target in missing:
-                reply = decode(
-                    channel.call(
-                        SHARD_APP_KIND,
-                        encode({
-                            "op": "hint", "target": target, "record": record,
-                        }),
-                        timeout=self._timeout,
+        with _obs.span(
+            "ns.handoff", client=self._host.name, via=via,
+            targets=",".join(missing), urn=str(name),
+        ):
+            try:
+                channel = self._host.connect(via, timeout=self._timeout)
+                for target in missing:
+                    reply = decode(
+                        channel.call(
+                            SHARD_APP_KIND,
+                            encode({
+                                "op": "hint", "target": target,
+                                "record": record,
+                            }),
+                            timeout=self._timeout,
+                        )
                     )
-                )
-                if "error" not in reply:
-                    self.stats.add("hints_sent")
-        except NetworkError:
-            self.stats.add("hint_send_failed")
-            self._host.drop_channel(via)
+                    if "error" not in reply:
+                        self.stats.add("hints_sent")
+            except NetworkError:
+                self.stats.add("hint_send_failed")
+                self._host.drop_channel(via)
 
     def _read_repair(
         self,
@@ -1070,14 +1048,6 @@ class ReplicatedNameClient:
             )
             self._breakers[node] = breaker
         return breaker
-
-    def _traced(self, op: str, name: URN, body: Callable[[Any], Any]) -> Any:
-        if _obs.TRACING:
-            with _obs.TRACER.span(
-                "ns.quorum", op=op, urn=str(name), client=self._host.name
-            ) as span:
-                return body(span)
-        return body(None)
 
     @staticmethod
     def _require_urn(name: Any) -> None:

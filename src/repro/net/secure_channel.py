@@ -140,38 +140,33 @@ class SecureChannel:
 
     def call(self, app_kind: str, body: bytes, timeout: float | None = None) -> bytes:
         """Blocking secure request/response (from a simulated thread)."""
-        if _obs.TRACING:
-            with _obs.TRACER.span(
-                "secure.call", peer=self.peer, kind=app_kind
-            ):
-                return self._secure_call(app_kind, body, timeout)
-        return self._secure_call(app_kind, body, timeout)
-
-    def _secure_call(
-        self, app_kind: str, body: bytes, timeout: float | None
-    ) -> bytes:
         from repro.sim.sync import SimEvent
 
-        corr = self._corr.next()
-        event = SimEvent(self.host.kernel)
-        self._pending[corr] = event
-        timer = None
-        try:
-            if timeout is not None:
-                timer = self.host.kernel.schedule(timeout, event.set, None)
-            sealed = self._envelope(app_kind, body, corr=corr, is_reply=False)
-            self.host.endpoint.send(self.peer_node(), _DATA, self._tag(sealed))
-            result = event.wait()
-        finally:
-            # Cancel on every exit so abandoned calls leave no stale timers.
-            self._pending.pop(corr, None)
-            if timer is not None:
-                timer.cancel()
-        if result is None:
-            raise NetworkError(
-                f"secure call {app_kind!r} to {self.peer!r} timed out"
-            )
-        return result
+        with _obs.span("secure.call", peer=self.peer, kind=app_kind):
+            corr = self._corr.next()
+            event = SimEvent(self.host.kernel)
+            self._pending[corr] = event
+            timer = None
+            try:
+                if timeout is not None:
+                    timer = self.host.kernel.schedule(timeout, event.set, None)
+                sealed = self._envelope(
+                    app_kind, body, corr=corr, is_reply=False
+                )
+                self.host.endpoint.send(
+                    self.peer_node(), _DATA, self._tag(sealed)
+                )
+                result = event.wait()
+            finally:
+                # Cancel on every exit so abandoned calls leave no stale timers.
+                self._pending.pop(corr, None)
+                if timer is not None:
+                    timer.cancel()
+            if result is None:
+                raise NetworkError(
+                    f"secure call {app_kind!r} to {self.peer!r} timed out"
+                )
+            return result
 
     def _reply(self, app_kind: str, body: bytes, corr: str) -> None:
         sealed = self._envelope(app_kind, body, corr=corr, is_reply=True)

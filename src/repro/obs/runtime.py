@@ -9,21 +9,30 @@ injection) guard themselves on the module-level flags here::
     if _obs.TRACING:
         _obs.TRACER.add_event("retry", attempt=n)
 
-When nothing is installed the cost of a hook is one module-attribute
-read and a falsy test — benchmarks F5/F6 pin that this stays within
-noise of the uninstrumented build.  ``install``/``uninstall`` flip the
-flags; they are process-global on purpose (one simulation per process is
-the norm everywhere in this repo), and tests that enable tracing must
-uninstall on the way out (see ``tests/obs/conftest.py``).
+:func:`span` is the one way to open a span; a site is written once and
+does its span-only work behind ``if span is not None``::
+
+    with _obs.span("rpc.call", dst=dst) as span:
+        ...
+
+When nothing is installed the cost of a guarded hook is one
+module-attribute read and a falsy test; a ``span`` site evaluates its
+attribute arguments and then enters one shared no-op scope.  Benchmarks
+F5/F6 pin that this stays within noise of the uninstrumented build.
+``install``/``uninstall`` flip the flags; they are process-global on
+purpose (one simulation per process is the norm everywhere in this
+repo), and tests that enable tracing must uninstall on the way out (see
+``tests/obs/conftest.py``).
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Any
+from contextlib import nullcontext
+from typing import TYPE_CHECKING, Any, ContextManager
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.obs.metrics import MetricsRegistry
-    from repro.obs.trace import Tracer
+    from repro.obs.trace import Span, SpanContext, Tracer
 
 __all__ = [
     "TRACING",
@@ -33,6 +42,7 @@ __all__ = [
     "METRICS",
     "install",
     "uninstall",
+    "span",
     "annotate",
 ]
 
@@ -44,6 +54,10 @@ ENABLED: bool = False
 
 TRACER: "Tracer | None" = None
 METRICS: "MetricsRegistry | None" = None
+
+# What ``span`` returns with tracing off: stateless, so one instance is
+# shared (and re-entered) by every site; its ``as`` target is None.
+_NO_SPAN = nullcontext()
 
 
 def install(
@@ -74,6 +88,21 @@ def uninstall() -> None:
     TRACING = False
     METRICS_ON = False
     ENABLED = False
+
+
+def span(
+    name: str,
+    parent: "Span | SpanContext | None" = None,
+    **attributes: Any,
+) -> "ContextManager[Span | None]":
+    """``with span("rpc.call", dst=...) as s:`` — ``s`` is None when off.
+
+    With a tracer installed this is ``TRACER.span(name, parent,
+    **attributes)``; otherwise the shared no-op scope.
+    """
+    if TRACING:
+        return TRACER.span(name, parent, **attributes)
+    return _NO_SPAN
 
 
 def annotate(kind: str, detail: str = "", **attributes: Any) -> None:

@@ -102,7 +102,6 @@ class AdmissionPolicy:
         max_image_bytes: int = DEFAULT_MAX_IMAGE_BYTES,
         accept_untrusted_code: bool = True,
         max_trace_length: int = 64,
-        credential_cache: CredentialVerificationCache | None = None,
         ring_policy: RingPolicy | None = None,
     ) -> None:
         self.trust_anchor = trust_anchor
@@ -116,11 +115,7 @@ class AdmissionPolicy:
         # An agent chain verified once on this server (signatures + chain
         # structure) is not RSA-verified again on its next arrival; only
         # the time-dependent checks replay.  See repro.credentials.cache.
-        self.credential_cache = (
-            credential_cache
-            if credential_cache is not None
-            else CredentialVerificationCache()
-        )
+        self.credential_cache = CredentialVerificationCache()
         # Shipped code verified and compiled once on this server; every
         # later arrival of the same source under the same policy reuses
         # it, and resident namespaces load from it.  See
@@ -158,53 +153,48 @@ class AdmissionPolicy:
         Traced as ``admission.validate``; a refusal closes the span with
         status ``error`` naming the failed check's exception.
         """
-        if _obs.TRACING:
-            with _obs.TRACER.span(
-                "admission.validate",
-                agent=str(image.name),
-                hops=len(image.trace),
-            ):
-                self._validate(image, wire_size, peer)
-            return
-        self._validate(image, wire_size, peer)
-
-    def _validate(
-        self, image: AgentImage, wire_size: int | None, peer: str | None = None
-    ) -> None:
-        size = wire_size if wire_size is not None else image.wire_size()
-        if size > self.max_image_bytes:
-            raise TransferError(
-                f"agent image of {size} bytes exceeds limit {self.max_image_bytes}"
-            )
-        if len(image.trace) >= self.max_trace_length:
-            raise TransferError(
-                f"agent exceeded the {self.max_trace_length}-hop limit"
-            )
-        if image.name.kind != "agent":
-            raise CredentialError(f"{image.name} is not an agent name")
-        if image.credentials.agent != image.name:
-            raise CredentialError(
-                f"image names {image.name} but credentials bind {image.credentials.agent}"
-            )
-        if not image.class_name.isidentifier():
-            raise TransferError(f"invalid class name {image.class_name!r}")
-        if not image.entry_method.isidentifier() or image.entry_method.startswith("_"):
-            raise TransferError(f"invalid entry method {image.entry_method!r}")
-        # Attributes (and the transfer id keying the dedup table within
-        # them) are attacker-controlled wire input: whitelist their shape
-        # before anything downstream touches them.
-        AgentImage.from_attributes(image.attributes)
-        self.credential_cache.verify(
-            image.credentials, self.trust_anchor, self.clock.now()
-        )
-        if self.integrity is not None and peer is not None:
-            self.integrity.verify_arrival(image, peer)
-            if image.home_site == self.integrity.name:
-                # The home server re-appraises the whole tour on return.
-                self.integrity.verify_return(image, peer)
-        if not image.is_trusted_code:
-            if not self.accept_untrusted_code:
-                raise CodeVerificationError(
-                    "this server does not accept agents carrying code"
+        with _obs.span(
+            "admission.validate",
+            agent=str(image.name),
+            hops=len(image.trace),
+        ):
+            size = wire_size if wire_size is not None else image.wire_size()
+            if size > self.max_image_bytes:
+                raise TransferError(
+                    f"agent image of {size} bytes exceeds limit"
+                    f" {self.max_image_bytes}"
                 )
-            self.code_cache.verify(image.source, self.verifier_policy)
+            if len(image.trace) >= self.max_trace_length:
+                raise TransferError(
+                    f"agent exceeded the {self.max_trace_length}-hop limit"
+                )
+            if image.name.kind != "agent":
+                raise CredentialError(f"{image.name} is not an agent name")
+            if image.credentials.agent != image.name:
+                raise CredentialError(
+                    f"image names {image.name} but credentials bind"
+                    f" {image.credentials.agent}"
+                )
+            if not image.class_name.isidentifier():
+                raise TransferError(f"invalid class name {image.class_name!r}")
+            entry = image.entry_method
+            if not entry.isidentifier() or entry.startswith("_"):
+                raise TransferError(f"invalid entry method {entry!r}")
+            # Attributes (and the transfer id keying the dedup table within
+            # them) are attacker-controlled wire input: whitelist their shape
+            # before anything downstream touches them.
+            AgentImage.from_attributes(image.attributes)
+            self.credential_cache.verify(
+                image.credentials, self.trust_anchor, self.clock.now()
+            )
+            if self.integrity is not None and peer is not None:
+                self.integrity.verify_arrival(image, peer)
+                if image.home_site == self.integrity.name:
+                    # The home server re-appraises the whole tour on return.
+                    self.integrity.verify_return(image, peer)
+            if not image.is_trusted_code:
+                if not self.accept_untrusted_code:
+                    raise CodeVerificationError(
+                        "this server does not accept agents carrying code"
+                    )
+                self.code_cache.verify(image.source, self.verifier_policy)

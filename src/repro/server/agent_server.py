@@ -74,11 +74,7 @@ from repro.server.journal import (
     DepartureRecord,
 )
 from repro.server.membership import FailureDetector, MembershipConfig
-from repro.server.recovery import (
-    RecoveryConfig,
-    RecoveryCoordinator,
-    directory_vetoes,
-)
+from repro.server.recovery import RecoveryCoordinator, directory_vetoes
 from repro.server.supervisor import ResourceSupervisor, SupervisorConfig
 from repro.sim.kernel import Kernel
 from repro.sim.monitor import Counter, TimeWeighted
@@ -130,7 +126,7 @@ class AgentServer:
         supervision: SupervisorConfig | None = None,
         appraisal: bool = True,
         membership: MembershipConfig | None = None,
-        recovery: RecoveryConfig | None = None,
+        recovery: bool = False,
     ) -> None:
         self.name = name
         self.kernel = kernel
@@ -276,8 +272,8 @@ class AgentServer:
         self.recovery: RecoveryCoordinator | None = None
         if membership is not None:
             self.membership = FailureDetector(self, membership)
-        if recovery is not None:
-            self.recovery = RecoveryCoordinator(self, recovery)
+        if recovery:
+            self.recovery = RecoveryCoordinator(self)
         if self.membership is not None and self.recovery is not None:
             self.membership.on_confirmed_dead(
                 self.recovery.handle_confirmed_dead
@@ -333,13 +329,10 @@ class AgentServer:
             # Launch is where the home server seals the planned tour;
             # the commitment is re-appraised when the agent returns.
             image = self.integrity.commit_itinerary(image)
-        if not _obs.TRACING:
-            self.admission.validate(image)
-            return self._start_resident(image)
-        with _obs.TRACER.span(
+        with _obs.span(
             "agent.launch", agent=str(image.name), server=self.name
         ) as span:
-            if isinstance(image.attributes, dict) and (
+            if span is not None and isinstance(image.attributes, dict) and (
                 SpanContext.from_attributes(image.attributes.get("trace_ctx"))
                 is None
             ):
@@ -440,80 +433,82 @@ class AgentServer:
         server.  Simulated threads run ``finally`` blocks even when
         killed, so the span closes on every exit path.
         """
-        if not _obs.TRACING:
-            self._resident_body(image, domain)
-            return
         parent = None
         if isinstance(image.attributes, dict):
             parent = SpanContext.from_attributes(
                 image.attributes.get("trace_ctx")
             )
-        with _obs.TRACER.span(
+        with _obs.span(
             "agent.resident",
             parent=parent,
             agent=str(image.name),
             server=self.name,
             hop=len(image.trace),
         ):
-            self._resident_body(image, domain)
-
-    def _resident_body(
-        self, image: AgentImage, domain: ProtectionDomain
-    ) -> None:
-        try:
-            instance = self._materialize(image, domain)
-        except ReproError as exc:
-            self.stats.add("agents_failed_materialize")
-            self._retire(domain, "terminated", f"materialization failed: {exc}")
-            return
-        self._instances[domain.domain_id] = instance
-        entry = getattr(instance, image.entry_method, None)
-        if entry is None or not callable(entry):
-            self.stats.add("agents_failed")
-            self._retire(
-                domain, "terminated",
-                f"agent has no entry method {image.entry_method!r}",
-            )
-            return
-        pending = entry
-        retries = 0
-        while True:
             try:
-                if domain.namespace is not None:
-                    # Fresh Telescript-style execution budget per entry.
-                    domain.namespace.reset_execution_budget()
-                result = pending()
-            except Departure as departure:
-                failure = self._handle_departure(image, instance, domain, departure)
-                if failure is None:
-                    return  # departed successfully
-                # Failure-tolerant itineraries: an agent defining a
-                # ``transfer_failed(destination, reason)`` hook gets a
-                # chance to re-route instead of being terminated.
-                hook = getattr(instance, "transfer_failed", None)
-                retries += 1
-                if callable(hook) and retries <= self.MAX_TRANSFER_RETRIES:
-                    destination, reason = failure
-                    pending = lambda d=destination, r=reason: hook(d, r)  # noqa: E731
-                    continue
-                self.stats.add("agents_terminated_transfer")
-                self._retire(domain, "terminated", f"transfer failed: {failure[1]}")
+                instance = self._materialize(image, domain)
+            except ReproError as exc:
+                self.stats.add("agents_failed_materialize")
+                self._retire(
+                    domain, "terminated", f"materialization failed: {exc}"
+                )
                 return
-            except Completion as completion:
-                self._handle_completion(image, domain, completion.result)
-                return
-            except SecurityException as exc:
-                self.stats.add("agents_killed_security")
-                self._retire(domain, "terminated", f"security violation: {exc}")
-                return
-            except Exception as exc:  # noqa: BLE001 - agent bugs stay contained
+            self._instances[domain.domain_id] = instance
+            entry = getattr(instance, image.entry_method, None)
+            if entry is None or not callable(entry):
                 self.stats.add("agents_failed")
-                self._retire(domain, "terminated", f"agent error: {exc!r}")
+                self._retire(
+                    domain, "terminated",
+                    f"agent has no entry method {image.entry_method!r}",
+                )
                 return
-            else:
-                # Falling off the end of the entry method is a completion.
-                self._handle_completion(image, domain, result)
-                return
+            pending = entry
+            retries = 0
+            while True:
+                try:
+                    if domain.namespace is not None:
+                        # Fresh Telescript-style execution budget per entry.
+                        domain.namespace.reset_execution_budget()
+                    result = pending()
+                except Departure as departure:
+                    failure = self._handle_departure(
+                        image, instance, domain, departure
+                    )
+                    if failure is None:
+                        return  # departed successfully
+                    # Failure-tolerant itineraries: an agent defining a
+                    # ``transfer_failed(destination, reason)`` hook gets a
+                    # chance to re-route instead of being terminated.
+                    hook = getattr(instance, "transfer_failed", None)
+                    retries += 1
+                    if callable(hook) and retries <= self.MAX_TRANSFER_RETRIES:
+                        destination, reason = failure
+                        pending = (  # noqa: E731
+                            lambda d=destination, r=reason: hook(d, r)
+                        )
+                        continue
+                    self.stats.add("agents_terminated_transfer")
+                    self._retire(
+                        domain, "terminated", f"transfer failed: {failure[1]}"
+                    )
+                    return
+                except Completion as completion:
+                    self._handle_completion(image, domain, completion.result)
+                    return
+                except SecurityException as exc:
+                    self.stats.add("agents_killed_security")
+                    self._retire(
+                        domain, "terminated", f"security violation: {exc}"
+                    )
+                    return
+                except Exception as exc:  # noqa: BLE001 - agent bugs stay contained
+                    self.stats.add("agents_failed")
+                    self._retire(domain, "terminated", f"agent error: {exc!r}")
+                    return
+                else:
+                    # Falling off the end of the entry method is a completion.
+                    self._handle_completion(image, domain, result)
+                    return
 
     def _materialize(self, image: AgentImage, domain: ProtectionDomain) -> Agent:
         """Instantiate the agent's class and restore its shipped state."""
@@ -554,16 +549,14 @@ class AgentServer:
         departure is journaled before the first network attempt so a
         crash mid-transfer can be recovered (:meth:`restart`).
         """
-        if not _obs.TRACING:
-            return self._depart(image, instance, domain, departure, None)
-        with _obs.TRACER.span(
+        with _obs.span(
             "transfer.depart",
             agent=str(image.name),
             server=self.name,
             destination=departure.destination,
         ) as span:
             failure = self._depart(image, instance, domain, departure, span)
-            if failure is not None and span.status == "unset":
+            if failure is not None and span is not None and span.status == "unset":
                 span.set_status("error", failure[1])
             return failure
 
@@ -854,16 +847,7 @@ class AgentServer:
                 bodies.append(encode(body))
         if not bodies:
             return
-        if not _obs.TRACING:
-            self._send_report(home_site, bodies)
-            return
-        with _obs.TRACER.span(
-            "report.send", server=self.name, destination=home_site,
-            reports=len(bodies),
-        ):
-            self._send_report(home_site, bodies)
 
-    def _send_report(self, home_site: str, bodies: list[bytes]) -> None:
         def attempt(_: int) -> None:
             self.stats.add("report_attempts")
             channel = self.secure.connect(home_site)
@@ -876,20 +860,29 @@ class AgentServer:
             self.stats.add("report_retries")
             self.secure.drop_channel(home_site)
 
-        call_with_retries(
-            attempt,
-            kernel=self.kernel,
-            policy=_REPORT_RETRY,
-            rng=self._retry_rng,
-            retry_on=(NetworkError,),
-            on_retry=note_retry,
-            describe=f"report to {home_site}",
-        )
+        with _obs.span(
+            "report.send", server=self.name, destination=home_site,
+            reports=len(bodies),
+        ):
+            call_with_retries(
+                attempt,
+                kernel=self.kernel,
+                policy=_REPORT_RETRY,
+                rng=self._retry_rng,
+                retry_on=(NetworkError,),
+                on_retry=note_retry,
+                describe=f"report to {home_site}",
+            )
 
     def _on_report(self, peer: str, body: bytes) -> None:
         try:
             report = decode(body)
         except ReproError:
+            report = None
+        if not isinstance(report, dict):
+            # Undecodable, or a decodable non-report (a list, a bare
+            # value): counted and dropped, never raised into the channel,
+            # where it would also drop the rest of a send_many batch.
             self.stats.add("reports_malformed")
             return
         report["via"] = peer
@@ -901,113 +894,107 @@ class AgentServer:
     # ------------------------------------------------------------------
 
     def _on_transfer(self, peer: str, body: bytes) -> bytes:
-        if not _obs.TRACING:
-            return self._admit_transfer(peer, body, None)
-        with _obs.TRACER.span(
+        with _obs.span(
             "transfer.admit", server=self.name, peer=peer
         ) as span:
-            return self._admit_transfer(peer, body, span)
-
-    def _admit_transfer(self, peer: str, body: bytes, span) -> bytes:
-        # Offered wire bytes, whatever the verdict — capacity planning
-        # wants to see refused load too.  One bisect; transfers are
-        # crypto-dominated, so this is noise on the transfer path.
-        self.telemetry.observe("transfer_bytes", len(body))
-        if (
-            self.integrity is not None
-            and self.integrity.quarantine.blocked_name(peer)
-        ):
-            # A quarantined upstream host gets a fast refusal before this
-            # server spends any decode/verification work on its offer.
-            self.stats.add("transfers_refused")
-            self.stats.add("transfers_refused_quarantined")
-            if span is not None:
-                span.set_status("error", f"refused: {peer} is quarantined")
-            self.audit.record(
-                peer, "atp.quarantine", "", False,
-                "transfer refused: sender is quarantined",
-            )
-            return encode({"status": "refused", "reason": "sender quarantined"})
-        tid: str | None = None
-        try:
-            image = decode(body)
-            if span is not None and isinstance(image, AgentImage):
-                if isinstance(image.attributes, dict):
-                    carried = SpanContext.from_attributes(
-                        image.attributes.get("trace_ctx")
-                    )
-                    if carried is not None:
-                        # Join the trace the sender stamped on the image
-                        # (learned only now — after the span opened).
-                        span.adopt_context(carried)
-                span.set_attribute("agent", str(image.name))
-            if not isinstance(image, AgentImage):
-                raise TransferError("payload is not an agent image")
-            # Idempotent receive: a retransmission of a transfer this
-            # server already answered (lost ack, sender retry or crash
-            # recovery) gets the cached reply — the agent is not admitted
-            # twice.  The key includes the authenticated peer, so one
-            # sender cannot poison another's entries.
-            tid = image.transfer_id
-            if tid is not None and 0 < len(tid) <= 128:
-                cached = self._transfer_dedup.get((peer, tid))
-                if cached is not None:
-                    self.stats.add("transfers_duplicate_suppressed")
-                    if span is not None:
-                        # A retransmission, not a fresh hop: no resident
-                        # span is started, the trace shows an event.
-                        span.set_attribute("duplicate", True)
-                        _obs.TRACER.add_event(
-                            "transfer.duplicate", transfer_id=tid
-                        )
-                    self.audit.record(
-                        peer, "atp.dedup", str(image.name), True,
-                        f"duplicate transfer {tid} answered from cache",
-                    )
-                    return cached
-            else:
-                tid = None
-            if self._draining:
-                # Past the dedup lookup on purpose: a retransmission of
-                # a transfer this server accepted *before* it started
-                # draining must still get its cached "accepted".
-                self.stats.add("transfers_refused_draining")
-                raise TransferError("server draining")
-            self.admission.validate(image, wire_size=len(body), peer=peer)
-        except AgentIntegrityError as exc:
-            reply = self._reject_integrity(peer, tid, span, exc)
-            return reply
-        except ReproError as exc:
-            self.stats.add("transfers_refused")
-            if span is not None:
-                span.set_status("error", f"refused: {exc}")
-            if isinstance(exc, AgentAttributeError):
-                # The whitelist refusal gets its own audit operation so
-                # operators can tell malformed-attribute probes apart
-                # from ordinary admission denials.
+            # Offered wire bytes, whatever the verdict — capacity planning
+            # wants to see refused load too.  One bisect; transfers are
+            # crypto-dominated, so this is noise on the transfer path.
+            self.telemetry.observe("transfer_bytes", len(body))
+            if (
+                self.integrity is not None
+                and self.integrity.quarantine.blocked_name(peer)
+            ):
+                # A quarantined upstream host gets a fast refusal before this
+                # server spends any decode/verification work on its offer.
+                self.stats.add("transfers_refused")
+                self.stats.add("transfers_refused_quarantined")
+                if span is not None:
+                    span.set_status("error", f"refused: {peer} is quarantined")
                 self.audit.record(
-                    peer, "agent.attributes_reject",
-                    str(exc.context.get("key", "")), False, str(exc),
+                    peer, "atp.quarantine", "", False,
+                    "transfer refused: sender is quarantined",
                 )
-            self.audit.record(peer, "atp.admit", "", False, str(exc))
-            reply = encode({"status": "refused", "reason": str(exc)})
+                return encode({"status": "refused", "reason": "sender quarantined"})
+            tid: str | None = None
+            try:
+                image = decode(body)
+                if span is not None and isinstance(image, AgentImage):
+                    if isinstance(image.attributes, dict):
+                        carried = SpanContext.from_attributes(
+                            image.attributes.get("trace_ctx")
+                        )
+                        if carried is not None:
+                            # Join the trace the sender stamped on the image
+                            # (learned only now — after the span opened).
+                            span.adopt_context(carried)
+                    span.set_attribute("agent", str(image.name))
+                if not isinstance(image, AgentImage):
+                    raise TransferError("payload is not an agent image")
+                # Idempotent receive: a retransmission of a transfer this
+                # server already answered (lost ack, sender retry or crash
+                # recovery) gets the cached reply — the agent is not admitted
+                # twice.  The key includes the authenticated peer, so one
+                # sender cannot poison another's entries.
+                tid = image.transfer_id
+                if tid is not None and 0 < len(tid) <= 128:
+                    cached = self._transfer_dedup.get((peer, tid))
+                    if cached is not None:
+                        self.stats.add("transfers_duplicate_suppressed")
+                        if span is not None:
+                            # A retransmission, not a fresh hop: no resident
+                            # span is started, the trace shows an event.
+                            span.set_attribute("duplicate", True)
+                            _obs.TRACER.add_event(
+                                "transfer.duplicate", transfer_id=tid
+                            )
+                        self.audit.record(
+                            peer, "atp.dedup", str(image.name), True,
+                            f"duplicate transfer {tid} answered from cache",
+                        )
+                        return cached
+                else:
+                    tid = None
+                if self._draining:
+                    # Past the dedup lookup on purpose: a retransmission of
+                    # a transfer this server accepted *before* it started
+                    # draining must still get its cached "accepted".
+                    self.stats.add("transfers_refused_draining")
+                    raise TransferError("server draining")
+                self.admission.validate(image, wire_size=len(body), peer=peer)
+            except AgentIntegrityError as exc:
+                return self._reject_integrity(peer, tid, span, exc)
+            except ReproError as exc:
+                self.stats.add("transfers_refused")
+                if span is not None:
+                    span.set_status("error", f"refused: {exc}")
+                if isinstance(exc, AgentAttributeError):
+                    # The whitelist refusal gets its own audit operation so
+                    # operators can tell malformed-attribute probes apart
+                    # from ordinary admission denials.
+                    self.audit.record(
+                        peer, "agent.attributes_reject",
+                        str(exc.context.get("key", "")), False, str(exc),
+                    )
+                self.audit.record(peer, "atp.admit", "", False, str(exc))
+                reply = encode({"status": "refused", "reason": str(exc)})
+                if tid is not None:
+                    self._transfer_dedup.put((peer, tid), reply)
+                return reply
+            self.stats.add("transfers_in")
+            self.audit.record(peer, "atp.admit", str(image.name), True, "")
+            if self.integrity is not None:
+                chain = image.attributes.get(APPRAISAL_ATTRIBUTE)
+                if chain:
+                    # Only a fully admitted image enters the replay record —
+                    # recording earlier would let an image refused for other
+                    # reasons poison its own legitimate retry.
+                    self.integrity.remember(chain[-1].tag())
+            self._start_resident(image)
+            reply = encode({"status": "accepted"})
             if tid is not None:
                 self._transfer_dedup.put((peer, tid), reply)
             return reply
-        self.stats.add("transfers_in")
-        self.audit.record(peer, "atp.admit", str(image.name), True, "")
-        if self.integrity is not None:
-            chain = image.attributes.get(APPRAISAL_ATTRIBUTE)
-            if chain:
-                # Only a fully admitted image enters the replay record —
-                # recording earlier would let an image refused for other
-                # reasons poison its own legitimate retry.
-                self.integrity.remember(chain[-1].tag())
-        self._start_resident(image)
-        reply = encode({"status": "accepted"})
-        if tid is not None:
-            self._transfer_dedup.put((peer, tid), reply)
-        return reply
 
     def _reject_integrity(
         self, peer: str, tid: str | None, span, exc: AgentIntegrityError
@@ -1033,18 +1020,14 @@ class AgentServer:
         detail = f"{reason}: {exc}"
         if span is not None:
             span.set_status("error", f"refused: {exc}")
-            with _obs.TRACER.span(
-                "agent.integrity_reject",
-                agent=str(agent or ""),
-                peer=peer,
-                reason=reason,
-            ) as reject_span:
+        with _obs.span(
+            "agent.integrity_reject",
+            agent=str(agent or ""),
+            peer=peer,
+            reason=reason,
+        ) as reject_span:
+            if reject_span is not None:
                 reject_span.set_status("error", str(exc))
-                self.audit.record(
-                    peer, "agent.integrity_reject", str(agent or ""), False,
-                    detail,
-                )
-        else:
             self.audit.record(
                 peer, "agent.integrity_reject", str(agent or ""), False, detail
             )
@@ -1205,15 +1188,12 @@ class AgentServer:
         or relaunch locally when this server *is* the home site.  Only
         when every avenue fails is the agent declared stranded.
         """
-        if not _obs.TRACING:
-            self._recover(record)
-            return
         parent = None
         if isinstance(record.image.attributes, dict):
             parent = SpanContext.from_attributes(
                 record.image.attributes.get("trace_ctx")
             )
-        with _obs.TRACER.span(
+        with _obs.span(
             "transfer.recover",
             parent=parent,
             agent=str(record.image.name),
@@ -1224,6 +1204,7 @@ class AgentServer:
             self._recover(record)
 
     def _recover(self, record: DepartureRecord) -> None:
+        # Shared with drain, which finishes a caught departure untraced.
         self.stats.add("recoveries_attempted")
         # While this server was dead, the home site's escrow re-homing
         # may already have relaunched the agent elsewhere: a directory

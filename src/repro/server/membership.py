@@ -57,6 +57,13 @@ __all__ = [
 # The secure-channel application kind heartbeats travel on.
 HEARTBEAT_APP_KIND = "cluster.heartbeat"
 
+# Virtual seconds between state sweeps (silence checks).
+SWEEP_PERIOD = 1.0
+# Bound on the secure-channel handshake to an unresponsive peer, so one
+# dead host cannot stall a whole heartbeat round for the default 30s
+# connect timeout.
+HEARTBEAT_TIMEOUT = 2.0
+
 # Peer lifecycle states (strings so views serialize/log naturally).
 ALIVE = "alive"
 SUSPECTED = "suspected"
@@ -70,16 +77,12 @@ class MembershipConfig:
     ``suspect_after`` and ``confirm_after`` are silence thresholds
     measured from the last heartbeat received (or from :meth:`start`,
     so freshly joined peers get a grace period rather than being born
-    suspect).  ``heartbeat_timeout`` bounds the secure-channel handshake
-    to an unresponsive peer so one dead host cannot stall a whole
-    heartbeat round for the default 30s connect timeout.
+    suspect).
     """
 
     heartbeat_period: float = 2.0
     suspect_after: float = 5.0
     confirm_after: float = 10.0
-    sweep_period: float = 1.0
-    heartbeat_timeout: float = 2.0
     # Confirmed-dead peers are still probed every Nth round (rejoin
     # probes): after a symmetric partition heals, both sides believe
     # the other dead, and without an occasional corpse-directed
@@ -89,8 +92,8 @@ class MembershipConfig:
     dead_probe_every: int = 5
 
     def __post_init__(self) -> None:
-        if self.heartbeat_period <= 0 or self.sweep_period <= 0:
-            raise ReproError("membership periods must be positive")
+        if self.heartbeat_period <= 0:
+            raise ReproError("heartbeat_period must be positive")
         if self.dead_probe_every < 1:
             raise ReproError("dead_probe_every must be >= 1")
         if not 0 < self.suspect_after < self.confirm_after:
@@ -218,7 +221,7 @@ class FailureDetector:
                 self.config.heartbeat_period, self._heartbeat_tick, daemon=True
             )
             self._sweep_ticker = self.kernel.every(
-                self.config.sweep_period, self._sweep, daemon=True
+                SWEEP_PERIOD, self._sweep, daemon=True
             )
 
     def stop(self) -> None:
@@ -335,7 +338,7 @@ class FailureDetector:
             )
             try:
                 channel = self.server.secure.connect(
-                    peer, timeout=self.config.heartbeat_timeout
+                    peer, timeout=HEARTBEAT_TIMEOUT
                 )
                 channel.send(HEARTBEAT_APP_KIND, body)
                 self.stats.add("heartbeats_sent")
@@ -353,17 +356,19 @@ class FailureDetector:
             load = float(beat["load"])
             draining = bool(beat["draining"])
             you_dead_at = beat.get("you_dead_at")
+            if you_dead_at is not None:
+                you_dead_at = int(you_dead_at)
         except (ReproError, KeyError, TypeError, ValueError):
             self.stats.add("heartbeats_malformed")
             return
         self.stats.add("heartbeats_received")
-        if you_dead_at is not None and self.incarnation <= int(you_dead_at):
+        if you_dead_at is not None and self.incarnation <= you_dead_at:
             # Refutation: an authenticated live peer holds *this* server
             # confirmed-dead at an incarnation we are still using.  It
             # cannot tell our heartbeats from a zombie's until we outbid
             # the incarnation it buried, so bump past it.  Idempotent:
             # once bumped, later copies of the same verdict are stale.
-            self.incarnation = int(you_dead_at) + 1
+            self.incarnation = you_dead_at + 1
             self.stats.add("refutations")
         now = self.clock.now()
         view = self._views.get(peer)

@@ -50,7 +50,6 @@ vetoes the sweep.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Any, Collection
 
 from repro.agents.integrity import COMMITMENT_ATTRIBUTE
@@ -68,13 +67,19 @@ from repro.util.serialization import canonical_digest, decode, encode
 
 __all__ = [
     "CHECKPOINT_APP_KIND",
-    "RecoveryConfig",
     "RecoveryCoordinator",
     "directory_vetoes",
 ]
 
 # The one-way secure-channel application kind checkpoint traffic rides.
 CHECKPOINT_APP_KIND = "cluster.checkpoint"
+
+# Virtual seconds between refresh ticks for live residents (between
+# ticks, checkpoints happen at hop boundaries, i.e. on admission).
+CHECKPOINT_PERIOD = 5.0
+# Bound on the secure-channel handshake for a push to (or a probe of)
+# an unreachable peer.
+CHECKPOINT_TIMEOUT = 5.0
 
 
 def directory_vetoes(
@@ -104,27 +109,11 @@ def directory_vetoes(
     return location is not None and location not in allowed
 
 
-@dataclass(frozen=True, slots=True)
-class RecoveryConfig:
-    """Recovery-plane knobs.
-
-    ``checkpoint_period`` is the daemon-tick refresh interval for live
-    residents (``None`` disables the tick — checkpoints then happen only
-    at hop boundaries, i.e. on admission).  ``checkpoint_timeout``
-    bounds the secure-channel handshake for a push to an unreachable
-    home site.
-    """
-
-    checkpoint_period: float | None = 5.0
-    checkpoint_timeout: float = 5.0
-
-
 class RecoveryCoordinator:
     """One server's checkpoint pusher + (as a home site) re-homer."""
 
-    def __init__(self, server: Any, config: RecoveryConfig | None = None) -> None:
+    def __init__(self, server: Any) -> None:
         self.server = server
-        self.config = config or RecoveryConfig()
         self.kernel = server.kernel
         self.clock = server.clock
         self.stats = Counter()
@@ -152,11 +141,9 @@ class RecoveryCoordinator:
     # -- lifecycle ---------------------------------------------------------------
 
     def start(self) -> None:
-        if self.config.checkpoint_period is None:
-            return
         if self._ticker is None or self._ticker.cancelled:
             self._ticker = self.kernel.every(
-                self.config.checkpoint_period, self._checkpoint_tick, daemon=True
+                CHECKPOINT_PERIOD, self._checkpoint_tick, daemon=True
             )
 
     def stop(self) -> None:
@@ -277,7 +264,7 @@ class RecoveryCoordinator:
             home, key, body = self._outbox.pop(0)
             try:
                 channel = server.secure.connect(
-                    home, timeout=self.config.checkpoint_timeout
+                    home, timeout=CHECKPOINT_TIMEOUT
                 )
                 channel.send(CHECKPOINT_APP_KIND, body)
                 self.stats.add("pushes_sent")
@@ -466,13 +453,13 @@ class RecoveryCoordinator:
             try:
                 try:
                     channel = server.secure.connect(
-                        peer, timeout=self.config.checkpoint_timeout
+                        peer, timeout=CHECKPOINT_TIMEOUT
                     )
                     reply = decode(
                         channel.call(
                             CHECKPOINT_APP_KIND,
                             encode({"op": "probe", "agent": checkpoint.agent}),
-                            timeout=self.config.checkpoint_timeout,
+                            timeout=CHECKPOINT_TIMEOUT,
                         )
                     )
                     state = reply.get("state")

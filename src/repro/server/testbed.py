@@ -129,9 +129,7 @@ class Testbed:
                 "membership", membership_config or MembershipConfig()
             )
         if self_healing:
-            from repro.server.recovery import RecoveryConfig
-
-            self._server_kwargs.setdefault("recovery", RecoveryConfig())
+            self._server_kwargs.setdefault("recovery", True)
         # The world's own instruments: hook-fed metrics and the fault
         # injector.  Per-host counters live on each node's telemetry unit;
         # scrape() merges the two.

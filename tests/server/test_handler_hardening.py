@@ -102,6 +102,26 @@ class TestReportHandler:
         assert report["via"] == bed.home.name
         assert report["payload"] == {"v": 1}
 
+    def test_non_dict_body_counted_and_batch_continues(self):
+        # A decodable body that is not a report must not abort the rest
+        # of a send_many batch.
+        bed = Testbed(2)
+        receiver = bed.servers[1]
+
+        def client():
+            channel = bed.home.secure.connect(receiver.name)
+            channel.send_many("agent.report", [
+                encode([1, 2, 3]),
+                encode({"agent": "x", "payload": {"v": 2}}),
+            ])
+
+        SimThread(bed.kernel, client, "tester", on_error="store").start()
+        bed.run(detect_deadlock=False)
+        assert receiver.stats["reports_malformed"] == 1
+        assert receiver.secure.stats["rejected_malformed"] == 0
+        [report] = receiver.reports
+        assert report["payload"] == {"v": 2}
+
 
 class TestServerSurvivesAll:
     def test_server_still_hosts_after_garbage_storm(self):

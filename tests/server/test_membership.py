@@ -153,3 +153,25 @@ def test_config_validation():
         MembershipConfig(suspect_after=12.0, confirm_after=6.0)
     with pytest.raises(ReproError):
         MembershipConfig(dead_probe_every=0)
+
+
+def test_unparseable_death_verdict_is_a_malformed_heartbeat():
+    from repro.server.membership import HEARTBEAT_APP_KIND
+    from repro.sim.threads import SimThread
+    from repro.util.serialization import encode
+
+    bed = bed_of(n=2)
+    sender, receiver = bed.servers
+    beat = {"incarnation": 0, "load": 0.0, "draining": False,
+            "you_dead_at": "soon"}
+
+    def send_bad_beat():
+        channel = sender.secure.connect(receiver.name)
+        channel.send(HEARTBEAT_APP_KIND, encode(beat))
+
+    SimThread(bed.kernel, send_bad_beat, "tester", on_error="store").start()
+    bed.run(until=1.0, detect_deadlock=False)
+    assert receiver.membership.stats["heartbeats_malformed"] == 1
+    assert receiver.membership.stats["heartbeats_received"] == 0
+    assert receiver.membership.incarnation == 0
+    assert receiver.secure.stats["rejected_malformed"] == 0

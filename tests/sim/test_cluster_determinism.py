@@ -4,8 +4,9 @@
 whole self-healing cluster -- heartbeats, escrow checkpoints, a crash
 and restart, transfer retries, re-homing, tracing -- twice from one seed
 and requires the same kernel event count and the same exported trace.
-The seed comes from ``REPRO_STRESS_SEED``, so CI repeats the check
-under several seeds.
+A neighbouring seed must give a different trace, or the seed would not
+reach the run at all.  The seed comes from ``REPRO_STRESS_SEED``, so CI
+repeats the check under several seeds.
 """
 
 from __future__ import annotations
@@ -15,6 +16,11 @@ import hashlib
 from tests.chaos.common import STRESS_SEED, assert_conserved, retry_kwargs, tourists
 
 from repro.server.testbed import Testbed
+from repro.util.retry import RetryPolicy
+
+# Jittered transfer retries: the seed reaches the retry schedule, so
+# different seeds take different paths through the same crash.
+JITTERED = RetryPolicy(attempts=4, base_delay=1.0, jitter=0.25)
 
 
 def run_world(seed: int) -> tuple[int, str, int, int]:
@@ -23,7 +29,10 @@ def run_world(seed: int) -> tuple[int, str, int, int]:
     Returns (events, trace SHA-256, completions, residents the crash
     killed).
     """
-    bed = Testbed(4, seed=seed, self_healing=True, server_kwargs=retry_kwargs())
+    bed = Testbed(
+        4, seed=seed, self_healing=True,
+        server_kwargs=retry_kwargs(transfer_retry=JITTERED),
+    )
     recorder = bed.start_tracing()
     _home, s1, s2, s3 = bed.servers
     images = tourists(
@@ -44,3 +53,8 @@ def test_seeded_self_healing_cluster_runs_identically_twice():
     _events, _digest, completed, killed = first
     assert completed == 6
     assert killed >= 1  # the crash caught residents: re-homing ran
+
+
+def test_a_different_seed_gives_a_different_run():
+    _events, digest, _completed, _killed = run_world(STRESS_SEED)
+    assert digest != run_world(STRESS_SEED + 1)[1]
