@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import dataclasses
 import random
-from typing import Any
+from typing import Any, Callable, Iterable, Iterator
 
 from repro.agents.agent import Agent, Completion, Departure, trusted_agent_class
 from repro.agents.environment import AgentEnvironment
@@ -88,6 +88,11 @@ __all__ = ["AgentServer"]
 
 # Retry schedule for delivering agent reports to their home site.
 _REPORT_RETRY = RetryPolicy(attempts=3, base_delay=0.2, max_delay=5.0)
+# Per-destination transfer circuit breaker: consecutive failures that
+# open it (above the default retry budget of 4, so one unlucky agent
+# never trips it), and virtual seconds before a half-open probe.
+BREAKER_FAILURE_THRESHOLD = 8
+BREAKER_RESET_TIMEOUT = 60.0
 
 
 def _revoke_holder_tokens(domain: ProtectionDomain) -> None:
@@ -118,8 +123,6 @@ class AgentServer:
         admission: AdmissionPolicy | None = None,
         transfer_timeout: float = 60.0,
         transfer_retry: RetryPolicy | None = None,
-        breaker_failure_threshold: int = 8,
-        breaker_reset_timeout: float = 60.0,
         forward_restriction: "Rights | None" = None,
         resident_lifetime_limit: float | None = None,
         audit_capacity: int | None = None,
@@ -143,8 +146,6 @@ class AgentServer:
         # circuit breakers, the sender-side departure journal (crash
         # recovery) and the receiver-side dedup table (idempotent ATP).
         self.transfer_retry = transfer_retry or RetryPolicy()
-        self._breaker_failure_threshold = breaker_failure_threshold
-        self._breaker_reset_timeout = breaker_reset_timeout
         self._breakers: dict[str, CircuitBreaker] = {}
         self._journal = DepartureJournal()
         self._transfer_dedup = DedupTable()
@@ -632,8 +633,8 @@ class AgentServer:
         if breaker is None:
             breaker = CircuitBreaker(
                 self.clock,
-                failure_threshold=self._breaker_failure_threshold,
-                reset_timeout=self._breaker_reset_timeout,
+                failure_threshold=BREAKER_FAILURE_THRESHOLD,
+                reset_timeout=BREAKER_RESET_TIMEOUT,
             )
             self._breakers[destination] = breaker
         return breaker
@@ -681,30 +682,58 @@ class AgentServer:
             describe=f"transfer to {destination}",
         )
 
-    def _offer_first(
-        self, image: AgentImage, targets: list[str], **attributes: Any
-    ) -> str | None:
-        """Offer ``image`` to each target in turn; the first to accept wins.
+    # -- the placement ladder (journal recovery, re-homing, drain) -------------
 
-        Each offer is a fresh handoff (re-homing, drain): sealed for that
-        target and stamped with a new transfer id plus ``attributes``.
-        Returns the accepting target, or None when every target refused
-        or was unreachable.  Must run in a simulated thread.
+    def _place(
+        self,
+        offers: Iterable[tuple[str, AgentImage]],
+        relaunch: Callable[[], AgentImage] | None = None,
+    ) -> tuple[str, str]:
+        """Place a displaced agent: offer it on, else relaunch it here.
+
+        ``offers`` yields ``(target, image)`` pairs, advanced only after
+        the previous offer failed, so a transfer id or appraisal link is
+        built only for an offer actually made; the first ``accepted``
+        wins.  If every offer failed, ``relaunch`` (if given) builds the
+        image to start here, after the admission check every launch and
+        arrival passes.  The one place a host relaunches an agent none
+        of its residents holds.  Returns ``("placed", target)``,
+        ``("relaunched", self.name)`` or ``("stranded", reasons)``;
+        never raises :class:`ReproError`.  Runs in a simulated thread.
         """
+        reasons = []
+        for target, image in offers:
+            try:
+                reply = self._offer_image(image, target)
+            except ReproError as exc:
+                reasons.append(str(exc))
+                continue
+            if reply.get("status") == "accepted":
+                return "placed", target
+            reasons.append(f"refused by {target}: {reply.get('reason', '?')}")
+        if relaunch is not None:
+            try:
+                image = relaunch()
+                self.admission.validate(image)
+                self._start_resident(image)
+                return "relaunched", self.name
+            except ReproError as exc:
+                reasons.append(f"relaunch refused: {exc}")
+        return "stranded", "; ".join(reasons) or "no target to offer"
+
+    def _sealed_offers(
+        self, image: AgentImage, targets: list[str], **attributes: Any
+    ) -> Iterator[tuple[str, AgentImage]]:
+        """Offers of ``image`` as a fresh handoff (re-homing, drain): each
+        sealed for its target and stamped with a new transfer id plus
+        ``attributes`` when the ladder reaches it."""
         for target in targets:
             offer = image
             if self.integrity is not None:
                 offer = self.integrity.seal_departure(offer, target)
-            offer = offer.with_attributes(
+            yield target, offer.with_attributes(
                 transfer_id=self._transfer_ids.next(), **attributes
             )
-            try:
-                reply = self._offer_image(offer, target)
-            except ReproError:
-                continue
-            if reply.get("status") == "accepted":
-                return target
-        return None
 
     def _handle_completion(
         self, image: AgentImage, domain: ProtectionDomain, result: Any
@@ -1178,16 +1207,8 @@ class AgentServer:
             )
 
     def _recover_departure(self, record: DepartureRecord) -> None:
-        """Dispose of one journaled in-flight departure after a restart.
-
-        Re-offer with the *same* transfer id — if the pre-crash offer
-        actually landed, the receiver's dedup table answers ``accepted``
-        idempotently, so the agent is never duplicated.  If the
-        destination stays unreachable or refuses, return the agent to
-        its home site (a fresh transfer id: it is a different handoff),
-        or relaunch locally when this server *is* the home site.  Only
-        when every avenue fails is the agent declared stranded.
-        """
+        """:meth:`_recover` one journaled in-flight departure after a
+        restart, inside its ``transfer.recover`` span."""
         parent = None
         if isinstance(record.image.attributes, dict):
             parent = SpanContext.from_attributes(
@@ -1203,8 +1224,16 @@ class AgentServer:
         ):
             self._recover(record)
 
-    def _recover(self, record: DepartureRecord) -> None:
-        # Shared with drain, which finishes a caught departure untraced.
+    def _recover(self, record: DepartureRecord) -> tuple[str, str]:
+        """Dispose of one journaled departure through the placement ladder.
+
+        Re-offer with the *same* transfer id — if the pre-crash offer
+        landed, the receiver's dedup table answers ``accepted``
+        idempotently.  Then offer the agent to its home site under a
+        fresh id, or relaunch it when this server *is* home.  Returns the
+        ladder's verdict, or ``("superseded", "")``.  Drain shares this
+        to finish a caught departure, untraced.
+        """
         self.stats.add("recoveries_attempted")
         # While this server was dead, the home site's escrow re-homing
         # may already have relaunched the agent elsewhere: a directory
@@ -1221,62 +1250,55 @@ class AgentServer:
                 "journal entry superseded: the agent was re-homed (or "
                 "finished) while this server was down",
             )
-            return
-        try:
-            reply = self._offer_image(record.image, record.destination)
-        except ReproError:
-            reply = None
-        if reply is not None and reply.get("status") == "accepted":
-            self._journal.resolve(record.transfer_id)
+            return "superseded", ""
+        image = record.image.with_attributes(returned_home=True)
+        home = image.home_site
+        home_offered = False
+
+        def reseal(image: AgentImage, destination: str) -> AgentImage:
+            # The journaled tip was sealed for the journaled destination;
+            # a different hop (same index, fresh timestamp) re-seals it,
+            # or the chain's hop-to-hop linkage breaks at the next hop.
+            if self.integrity is not None:
+                image = self.integrity.reseal_tip(image, destination)
+            return image
+
+        def offers() -> Iterator[tuple[str, AgentImage]]:
+            nonlocal home_offered
+            yield record.destination, record.image
+            if home != self.name:
+                home_offered = True
+                yield home, reseal(
+                    image.with_attributes(transfer_id=self._transfer_ids.next()),
+                    home,
+                )
+
+        outcome, where = self._place(
+            offers(),
+            (lambda: reseal(image, self.name)) if home == self.name else None,
+        )
+        self._journal.resolve(record.transfer_id)
+        delivered = outcome == "placed" and not home_offered
+        if delivered:
             self.stats.add("recoveries_delivered")
             with self.domain_db.privileged():
                 if record.domain_id in self.domain_db:
                     self.domain_db.set_status(record.domain_id, "departed")
-            self.audit.record(
-                self.name, "atp.recover", str(record.image.name), True,
-                f"re-offered to {record.destination}",
+        else:
+            # A stranded agent gets no tombstone: the home site's escrow
+            # may still rescue it.
+            self.stats.add(
+                "recovery_stranded" if outcome == "stranded"
+                else "recoveries_returned_home"
             )
-            return
-        image = record.image.with_attributes(returned_home=True)
-        if image.home_site == self.name:
-            self._journal.resolve(record.transfer_id)
-            self.stats.add("recoveries_returned_home")
-            self.audit.record(
-                self.name, "atp.recover", str(image.name), True,
-                "relaunched at home after crash",
-            )
-            if self.integrity is not None:
-                # The journaled tip was sealed for the unreachable
-                # destination; the agent stays here instead, so the tip
-                # must now read self→self or the chain's hop-to-hop
-                # linkage breaks at the agent's *next* departure.
-                image = self.integrity.reseal_tip(image, self.name)
-            self._start_resident(image)
-            return
-        home_image = image.with_attributes(transfer_id=self._transfer_ids.next())
-        if self.integrity is not None:
-            # A different hop than the journaled one: re-seal the tip
-            # link for the home site (same hop index, fresh timestamp).
-            home_image = self.integrity.reseal_tip(home_image, image.home_site)
-        try:
-            reply = self._offer_image(home_image, image.home_site)
-        except ReproError:
-            reply = None
-        if reply is not None and reply.get("status") == "accepted":
-            self._journal.resolve(record.transfer_id)
-            self.stats.add("recoveries_returned_home")
-            self.audit.record(
-                self.name, "atp.recover", str(image.name), True,
-                f"returned to home site {image.home_site} after crash",
-            )
-            return
-        self._journal.resolve(record.transfer_id)
-        self.stats.add("recovery_stranded")
         self.audit.record(
-            self.name, "atp.recover", str(image.name), False,
-            f"unrecoverable: {record.destination} and home "
-            f"{image.home_site} both unreachable",
+            self.name, "atp.recover", str(image.name), outcome != "stranded",
+            f"re-offered to {where}" if delivered else {
+                "placed": f"returned to home site {where} after crash",
+                "relaunched": "relaunched at home after crash",
+            }.get(outcome, f"unrecoverable: {where}"),
         )
+        return outcome, where
 
     # ------------------------------------------------------------------
     # Graceful drain (planned decommissioning)
@@ -1298,8 +1320,10 @@ class AgentServer:
         live state captured, and the sealed image offered to the least
         loaded surviving planned stop.  A resident caught mid-departure
         is finished via the journal (same transfer id — the dedup table
-        absorbs the duplicate); one nobody accepts is relaunched locally
-        and the drain for it reported failed.
+        absorbs the duplicate).  Both go through the placement ladder
+        (:meth:`_place`): one nobody accepts is relaunched locally if it
+        passes admission, else stranded, and either way the drain is
+        reported failed for it and goes on to the next resident.
         """
         self._draining = True
         if self.membership is not None:
@@ -1325,10 +1349,9 @@ class AgentServer:
             # it is left here to migrate.
             return
 
-        def drained(status: str, detail: str) -> None:
-            self._teardown(domain_id, status, revoke=status != "departed")
-            self.audit.record(domain_id, "agent.drain", status, True, detail)
-
+        # The resident's entries stay until the ladder returns, so a
+        # home-side probe made during the offers still answers
+        # "resident" and cannot trigger a duplicate re-home.
         record = next(
             (r for r in self._journal.pending() if r.domain_id == domain_id),
             None,
@@ -1338,45 +1361,48 @@ class AgentServer:
             # journaled in-flight image exactly like crash recovery does
             # (same transfer id, so a landed pre-kill offer dedups).
             self.stats.add("agents_killed_drain")
-            drained("departed", f"drained via journal to {record.destination}")
-            self._recover(record)
-            return
-        if image is None or instance is None:
-            self.stats.add("agents_killed_drain")
-            drained("terminated", "drain: no image to migrate")
-            return
-        try:
-            state = instance.capture_state()
-        except ReproError:
-            state = image.state
-        outgoing = image.with_hop(self.name).with_state(state, image.entry_method)
-        targets = (
-            self.recovery.pick_targets(outgoing, exclude=set())
-            if self.recovery is not None
-            else []
-        )
-        target = self._offer_first(outgoing, targets)
-        if target is not None:
-            # Accounting-wise an ordinary departure: hosted here once,
-            # transferred out once, hosted again at the target.
-            self.stats.add("transfers_out")
-            self.stats.add("drained_out")
-            drained("departed", f"drained to {target}")
-            return
-        # Nobody would take it: the agent stays, the drain failed for it.
-        self.stats.add("agents_killed_drain")
-        self.stats.add("drain_failed")
-        drained("departed", "drain failed: relaunched locally")
+            outcome, where = self._recover(record)
+        else:
+            # A resident killed before it materialized leaves with the
+            # state it arrived with.
+            try:
+                state = image.state if instance is None else instance.capture_state()
+            except ReproError:
+                state = image.state
+            outgoing = image.with_hop(self.name).with_state(
+                state, image.entry_method
+            )
+            recovery = self.recovery
+            targets = recovery.pick_targets(outgoing, set()) if recovery else []
+            # The fallback relaunches the *admitted* image shape (no extra
+            # hop: the appraisal chain must stay aligned with the trace
+            # for the agent's eventual real departure), with live state.
+            outcome, where = self._place(
+                self._sealed_offers(outgoing, targets),
+                lambda: image.with_state(state, image.entry_method),
+            )
+            if outcome == "placed":
+                # Accounting-wise an ordinary departure: hosted here
+                # once, transferred out once, hosted again at the target.
+                self.stats.add("transfers_out")
+                self.stats.add("drained_out")
+            else:
+                self.stats.add("agents_killed_drain")
+                self.stats.add("drain_failed")
+        # A stranded agent keeps its tokens and escrow: no tombstone, the
+        # home site's escrow may still rescue it.
+        status = "terminated" if outcome == "stranded" else "departed"
+        self._teardown(domain_id, status, revoke=False)
+        via = "via journal " if record is not None else ""
+        detail = {
+            "placed": f"drained {via}to {where}",
+            "superseded": "drained via journal: superseded elsewhere",
+            "relaunched": "drain failed: relaunched locally",
+        }.get(outcome, f"drain failed: {where}")
         self.audit.record(
-            domain_id, "server.drain", str(image.name), False,
-            "no survivor accepted; agent relaunched locally",
+            domain_id, "agent.drain", status,
+            outcome in ("placed", "superseded"), detail,
         )
-        # Relaunch from the *admitted* image shape (no extra hop: the
-        # appraisal chain must stay aligned with the trace for the
-        # agent's eventual real departure), with the live state.
-        relaunch = image.with_state(state, image.entry_method)
-        self.admission.validate(relaunch)
-        self._start_resident(relaunch)
 
     # ------------------------------------------------------------------
     # Operator reporting

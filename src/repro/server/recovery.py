@@ -22,9 +22,9 @@ escrow-at-home scheme:
   agent's *committed itinerary* (plus the home site itself — always a
   legal fallback, and the only choice `verify_return` accepts outside
   the plan), appends its own hop to the escrow, seals the new tip, and
-  offers it through the ordinary exactly-once transfer path.  The
-  relaunched agent's own ``transfer_failed`` handling then routes it
-  around the dead stop.
+  places it through the server's placement ladder (exactly-once offers,
+  then a validated relaunch at home).  The relaunched agent's own
+  ``transfer_failed`` handling then routes it around the dead stop.
 * A checkpoint is retired when its agent completes or is terminated
   (accepted only from the server the checkpoint places the agent at),
   and superseded by sequence number when the agent hops onward — a
@@ -401,22 +401,7 @@ class RecoveryCoordinator:
 
     def handle_confirmed_dead(self, peer: str, incarnation: int) -> None:
         """Failure-detector callback (kernel context): re-home off ``peer``."""
-        orphans = self.store.at(peer)
-        if not orphans:
-            return
-        self._rehoming += len(orphans)
-        confirmed_at = self.clock.now()
-        self.server._spawn_aux(
-            lambda: self._rehome_all(peer, orphans, confirmed_at),
-            name=f"{self.server.name}/rehome/{peer}",
-        )
-
-    def _rehome_all(self, dead: str, orphans: list, confirmed_at: float) -> None:
-        for checkpoint in orphans:
-            try:
-                self._rehome_one(dead, checkpoint, confirmed_at)
-            finally:
-                self._rehoming = max(0, self._rehoming - 1)
+        self._sweep(peer, probe=False)
 
     def handle_peer_restarted(self, peer: str, incarnation: int) -> None:
         """Rebirth callback (kernel context): sweep a flapped peer.
@@ -427,58 +412,62 @@ class RecoveryCoordinator:
         *suspected* until the new incarnation's heartbeat clears it.
         Without this sweep those agents would be lost forever.  Unlike
         the confirmed-dead path the peer is *alive* again, so each
-        checkpoint is probed first: the restarted host may still be
-        running the agent (our checkpoint was stale) or holding it in
-        its recovered departure journal (its own restart recovery owns
-        delivery).  Only a ``unknown`` answer — the host accounts for
-        nothing — permits re-homing, which closes the race where home
-        and the reborn host would otherwise both relaunch the same
-        agent.
+        checkpoint is probed first (:meth:`_probe_vetoes`).
         """
+        self._sweep(peer, probe=True)
+
+    def _sweep(self, peer: str, *, probe: bool) -> None:
         orphans = self.store.at(peer)
         if not orphans:
             return
         self._rehoming += len(orphans)
         noticed_at = self.clock.now()
+
+        def rehome_orphans() -> None:
+            for checkpoint in orphans:
+                try:
+                    if not (probe and self._probe_vetoes(peer, checkpoint.agent)):
+                        self._rehome_one(peer, checkpoint, noticed_at)
+                finally:
+                    self._rehoming = max(0, self._rehoming - 1)
+
+        kind = "rehome-flap" if probe else "rehome"
         self.server._spawn_aux(
-            lambda: self._rehome_after_restart(peer, orphans, noticed_at),
-            name=f"{self.server.name}/rehome-flap/{peer}",
+            rehome_orphans, name=f"{self.server.name}/{kind}/{peer}"
         )
 
-    def _rehome_after_restart(
-        self, peer: str, orphans: list, noticed_at: float
-    ) -> None:
+    def _probe_vetoes(self, peer: str, agent: str) -> bool:
+        """Does the reborn ``peer`` still account for ``agent``?
+
+        The restarted host may still be running the agent (our
+        checkpoint was stale) or holding it in its recovered departure
+        journal (its own restart recovery owns delivery).  Only an
+        ``unknown`` answer — the host accounts for nothing — permits
+        re-homing, which closes the race where home and the reborn host
+        would otherwise both relaunch the same agent.
+        """
         server = self.server
-        for checkpoint in orphans:
-            try:
-                try:
-                    channel = server.secure.connect(
-                        peer, timeout=CHECKPOINT_TIMEOUT
-                    )
-                    reply = decode(
-                        channel.call(
-                            CHECKPOINT_APP_KIND,
-                            encode({"op": "probe", "agent": checkpoint.agent}),
-                            timeout=CHECKPOINT_TIMEOUT,
-                        )
-                    )
-                    state = reply.get("state")
-                except (NetworkError, ReproError):
-                    # Unreachable again already: leave the checkpoint in
-                    # escrow — the detector will confirm death and the
-                    # ordinary path takes over.
-                    self.stats.add("probes_failed")
-                    server.secure.drop_channel(peer)
-                    continue
-                if state == "resident":
-                    self.stats.add("rehomes_vetoed_resident")
-                    continue
-                if state == "journaled":
-                    self.stats.add("rehomes_vetoed_journaled")
-                    continue
-                self._rehome_one(peer, checkpoint, noticed_at)
-            finally:
-                self._rehoming = max(0, self._rehoming - 1)
+        try:
+            channel = server.secure.connect(peer, timeout=CHECKPOINT_TIMEOUT)
+            reply = decode(
+                channel.call(
+                    CHECKPOINT_APP_KIND,
+                    encode({"op": "probe", "agent": agent}),
+                    timeout=CHECKPOINT_TIMEOUT,
+                )
+            )
+            state = reply.get("state")
+        except (NetworkError, ReproError):
+            # Unreachable again already: leave the checkpoint in escrow —
+            # the detector will confirm death and the ordinary path
+            # takes over.
+            self.stats.add("probes_failed")
+            server.secure.drop_channel(peer)
+            return True
+        if state in ("resident", "journaled"):
+            self.stats.add(f"rehomes_vetoed_{state}")
+            return True
+        return False
 
     def _rehome_one(self, dead: str, checkpoint, confirmed_at: float) -> None:
         server = self.server
@@ -497,35 +486,31 @@ class RecoveryCoordinator:
             return
         self.store.retire(agent)
         # Home becomes a relay hop: its own link in the chain lets the
-        # survivor's arrival appraisal pass (tip origin == sender).
-        target = server._offer_first(
-            image.with_hop(server.name),
-            self.pick_targets(image, exclude={dead}),
-            rehomed=True,
+        # survivor's arrival appraisal pass (tip origin == sender).  If
+        # every survivor refuses or is unreachable, the escrow runs here.
+        outcome, where = server._place(
+            server._sealed_offers(
+                image.with_hop(server.name),
+                self.pick_targets(image, exclude={dead}),
+                rehomed=True,
+            ),
+            lambda: image,
         )
-        if target is not None:
-            self.stats.add("rehomes_placed")
-            self._rehomed(
-                agent, dead, target, confirmed_at,
-                f"re-homed to {target} after {dead} died",
-            )
-            return
-        # Every survivor refused or is unreachable: the agent runs here.
-        try:
-            server.admission.validate(image)
-            self.stats.add("rehomes_local")
-            self._rehomed(
-                agent, dead, server.name, confirmed_at,
-                f"relaunched at home after {dead} died",
-            )
-            server._start_resident(image)
-        except ReproError as exc:
+        if outcome == "stranded":
             self.stats.add("rehomes_stranded")
             server.audit.record(
                 server.name, "recovery.rehome", agent, False,
-                f"unrecoverable after {dead} died: {exc}",
+                f"unrecoverable after {dead} died: {where}",
             )
             self._tombstone(image)
+            return
+        placed = outcome == "placed"
+        self.stats.add("rehomes_placed" if placed else "rehomes_local")
+        self._rehomed(
+            agent, dead, where, confirmed_at,
+            f"re-homed to {where} after {dead} died" if placed
+            else f"relaunched at home after {dead} died",
+        )
 
     def _already_finished(self, agent: str) -> bool:
         """Has the home site already seen this agent finish?"""

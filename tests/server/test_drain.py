@@ -15,6 +15,7 @@ import pytest
 from repro.agents.agent import Agent, register_trusted_agent_class
 from repro.agents.itinerary import Itinerary
 from repro.agents.patterns import ItineraryAgent
+from repro.agents.transfer import capture_image
 from repro.apps.buffer import Buffer
 from repro.core.policy import PolicyRule, SecurityPolicy
 from repro.credentials.rights import Rights
@@ -194,4 +195,38 @@ def test_drain_with_no_survivors_relaunches_locally():
     assert home.stats["agents_killed_drain"] == 1
     # The relaunched resident resumed its tour and completed here.
     assert home.stats["agents_completed"] == 1
+    assert healed_conservation_residual(bed.servers)() == 0
+
+
+def test_a_refused_relaunch_strands_one_agent_and_the_drain_goes_on():
+    # Nobody accepts the first tourist (its credentials expired at t=10)
+    # and its relaunch here fails the same admission check: it is
+    # stranded, but the drain must still migrate the second tourist.
+    bed = bed_of(seed=66)
+    s0, s1, s2 = bed.servers
+    s0.launch(
+        capture_image(
+            tourist(s1.name, s2.name),
+            credentials=bed.credentials_for(Rights.all(), lifetime=10.0),
+            entry_method="run",
+            home_site=s0.name,
+        )
+    )
+    bed.launch(tourist(s1.name, s2.name), Rights.all())
+    drain = []
+    bed.kernel.schedule(20.0, lambda: drain.append(s1.drain()))
+    bed.run(until=300.0, detect_deadlock=False)
+    assert drain[0].exception is None
+    assert s1.stats["drained_out"] == 1
+    assert s1.stats["drain_failed"] == 1
+    assert s1.stats["agents_killed_drain"] == 1
+    [refused] = [
+        r for r in s1.audit.records(operation="agent.drain") if not r.allowed
+    ]
+    assert "relaunch refused" in refused.detail
+    assert "expired" in refused.detail
+    # The valid tourist finished its tour at s2, not on the drained host.
+    assert s2.stats["agents_completed"] == 1
+    assert s1.stats["agents_completed"] == 0
+    assert len(s1._threads) == 0
     assert healed_conservation_residual(bed.servers)() == 0

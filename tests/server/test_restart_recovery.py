@@ -20,6 +20,7 @@ import pytest
 from repro.agents.agent import Agent, register_trusted_agent_class
 from repro.agents.itinerary import Itinerary
 from repro.agents.patterns import ItineraryAgent
+from repro.agents.transfer import capture_image
 from repro.credentials.rights import Rights
 from repro.errors import NetworkError, UnknownNameError
 from repro.naming.urn import URN
@@ -254,6 +255,45 @@ def test_journal_recovery_is_vetoed_when_agent_was_rehomed_meanwhile():
     assert statuses.count("completed") == 1
     assert statuses.count("running") == 0
     assert healed_conservation_residual(bed.servers)() == 0
+
+
+def test_home_relaunch_after_crash_passes_admission():
+    """Journal recovery relaunches at home only what admission accepts.
+
+    The departure to a dead s1 is journaled when home crashes; by the
+    restart the agent's credentials (lifetime 10) have expired, so the
+    relaunch at home is refused like any launch or arrival would be and
+    the agent is stranded instead of running on stale credentials.
+    """
+    bed = selfheal_pair(seed=96)
+    home, s1 = bed.servers
+    s1.crash()
+    agent = DwellingTourist()
+    agent.itinerary = Itinerary.tour([s1.name])
+    credentials = bed.credentials_for(Rights.all(), lifetime=10.0)
+    # Registered like Testbed.launch does, so the directory veto lets
+    # journal recovery go ahead.
+    token = bed.name_service.register(credentials.agent, home.name, {})
+    home.launch(
+        capture_image(
+            agent,
+            credentials=credentials,
+            entry_method="run",
+            home_site=home.name,
+            attributes={"ns_token": token},
+        )
+    )
+    bed.faults().crash(home, at=2.0, restart_at=15.0)
+    bed.run(until=300.0, detect_deadlock=False)
+    assert home.stats["recoveries_attempted"] == 1
+    assert home.stats["recoveries_returned_home"] == 0
+    assert home.stats["recovery_stranded"] == 1
+    assert home.stats["agents_hosted"] == 1  # the launch, never again
+    assert sum(s.stats["agents_completed"] for s in bed.servers) == 0
+    assert len(home._journal) == 0
+    [stranded] = home.audit.records(operation="atp.recover")
+    assert not stranded.allowed
+    assert "relaunch refused" in stranded.detail
 
 
 # -- the one directory veto both recovery planes consult ----------------------

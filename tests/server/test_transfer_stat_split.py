@@ -12,6 +12,7 @@ import pytest
 
 from repro.agents.agent import Agent, register_trusted_agent_class
 from repro.credentials.rights import Rights
+from repro.server import agent_server
 from repro.server.testbed import Testbed
 from repro.util.retry import RetryPolicy
 
@@ -37,18 +38,19 @@ def hopper_to(dest):
 @pytest.fixture()
 def dead_destination_world():
     """Two servers, the link down, a hair-trigger breaker."""
-    bed = Testbed(
-        2,
-        server_kwargs={
-            "transfer_timeout": 5.0,
-            "transfer_retry": RetryPolicy(attempts=2, base_delay=0.5,
-                                          jitter=0.0),
-            "breaker_failure_threshold": 2,
-            "breaker_reset_timeout": 1000.0,
-        },
-    )
-    bed.network.set_link_state(bed.home.name, bed.servers[1].name, False)
-    return bed
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(agent_server, "BREAKER_FAILURE_THRESHOLD", 2)
+        patch.setattr(agent_server, "BREAKER_RESET_TIMEOUT", 1000.0)
+        bed = Testbed(
+            2,
+            server_kwargs={
+                "transfer_timeout": 5.0,
+                "transfer_retry": RetryPolicy(attempts=2, base_delay=0.5,
+                                              jitter=0.0),
+            },
+        )
+        bed.network.set_link_state(bed.home.name, bed.servers[1].name, False)
+        yield bed
 
 
 def test_exhaustion_and_fastfail_hit_separate_counters(dead_destination_world):
