@@ -58,7 +58,11 @@ from repro.errors import (
 )
 from repro.sim.monitor import Counter
 from repro.util.clock import Clock
-from repro.util.serialization import canonical_digest, register_serializable
+from repro.util.serialization import (
+    Verbatim,
+    canonical_digest,
+    register_serializable,
+)
 
 __all__ = [
     "APPRAISAL_ATTRIBUTE",
@@ -82,7 +86,7 @@ _REPLAY_CAPACITY = 4096
 _COMMITMENT_CAPACITY = 4096
 
 
-def state_digest(image: AgentImage) -> bytes:
+def state_digest(image: AgentImage, state_bytes: bytes | None = None) -> bytes:
     """The digest of everything a relay host could silently rewrite.
 
     Covers identity, credentials, code identity, captured state, entry
@@ -95,6 +99,11 @@ def state_digest(image: AgentImage) -> bytes:
     attributes are not — they carry the chain itself plus per-transfer
     bookkeeping (``transfer_id``, ``trace_ctx``) that legitimately
     changes between retries.
+
+    ``state_bytes``, when given, must be the canonical encoding of
+    ``image.state``: the bytes the sender puts on the wire, or the span
+    the receiver decoded.  They are embedded verbatim, which gives the
+    same digest as encoding the state again.
     """
     return canonical_digest(
         {
@@ -104,7 +113,7 @@ def state_digest(image: AgentImage) -> bytes:
             "source": image.source,
             "entry_method": image.entry_method,
             "home_site": image.home_site,
-            "state": image.state,
+            "state": image.state if state_bytes is None else Verbatim(state_bytes),
         }
     )
 
@@ -120,11 +129,13 @@ def _credentials_digest(credentials: object) -> bytes:
     return canonical_digest(credentials)
 
 
+@functools.lru_cache(maxsize=256)
 def genesis_tag(agent: str, home_site: str) -> bytes:
     """The chain anchor: binds link 0 to one agent's identity and home.
 
     Without it, a valid chain could be transplanted wholesale onto a
     different agent's image (the links themselves never name the agent).
+    A pure function of two strings, so memoized.
     """
     return canonical_digest({"genesis": agent, "home": home_site})
 
@@ -356,12 +367,19 @@ class IntegrityAuthority:
 
     # -- sealing (sender side) ---------------------------------------------
 
-    def seal_departure(self, image: AgentImage, destination: str) -> AgentImage:
+    def seal_departure(
+        self,
+        image: AgentImage,
+        destination: str,
+        state_bytes: bytes | None = None,
+    ) -> AgentImage:
         """Append this host's link for the hop ``self.name → destination``.
 
         Called with the fully captured outgoing image (state, trace and
         per-transfer attributes already stamped); the appended link is
         the chain tip the receiver verifies against the wire image.
+        ``state_bytes`` is ``encode(image.state)`` when the caller
+        already holds it (see :func:`state_digest`).
         """
         chain = image.attributes.get(APPRAISAL_ATTRIBUTE) or ()
         prev = (
@@ -372,7 +390,7 @@ class IntegrityAuthority:
         link = self._seal(
             hop=len(chain),
             destination=destination,
-            digest=state_digest(image),
+            digest=state_digest(image, state_bytes),
             prev_tag=prev,
         )
         self.stats.add("links_sealed")
@@ -424,8 +442,15 @@ class IntegrityAuthority:
 
     # -- verification (receiver side) --------------------------------------
 
-    def verify_arrival(self, image: AgentImage, peer: str) -> bytes:
+    def verify_arrival(
+        self, image: AgentImage, peer: str, state_bytes: bytes | None = None
+    ) -> bytes:
         """Appraise an image arriving from authenticated ``peer``.
+
+        ``state_bytes`` is the span of the received bytes that carried
+        ``image.state`` (see :func:`~repro.agents.transfer.decode_image`);
+        the state-tamper check digests exactly those bytes.  Without it
+        the decoded state is encoded again.
 
         Returns the verified chain-tip tag (the caller records it via
         :meth:`remember` once the agent is actually admitted, so a
@@ -518,7 +543,7 @@ class IntegrityAuthority:
                 f"tip link sealed by {tip.origin} but delivered by {peer}",
                 fingerprint=fingerprint,
             )
-        if tip.state_digest != state_digest(image):
+        if tip.state_digest != state_digest(image, state_bytes):
             raise reject(
                 "state-tampered",
                 "arriving state does not match the sealed digest",

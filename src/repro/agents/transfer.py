@@ -21,12 +21,17 @@ from typing import TYPE_CHECKING, Any
 from repro.credentials.delegation import DelegatedCredentials
 from repro.errors import AgentAttributeError, TransferError
 from repro.naming.urn import URN
-from repro.util.serialization import encode, register_serializable
+from repro.util.serialization import (
+    Verbatim,
+    decode,
+    encode,
+    register_serializable,
+)
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.agents.agent import Agent
 
-__all__ = ["AgentImage", "capture_image"]
+__all__ = ["AgentImage", "capture_image", "decode_image", "encode_image"]
 
 DEFAULT_MAX_IMAGE_BYTES = 1024 * 1024
 
@@ -178,6 +183,33 @@ class AgentImage:
 
 
 register_serializable(AgentImage)
+
+
+def encode_image(image: AgentImage, state_bytes: bytes | None = None) -> bytes:
+    """The wire bytes of ``image``, i.e. ``encode(image)``.
+
+    ``state_bytes``, when given, must be ``encode(image.state)`` (the
+    bytes the sender already digested for the appraisal seal); they are
+    embedded verbatim instead of encoding the state a second time.
+    """
+    if state_bytes is not None:
+        image = replace(image, state=Verbatim(state_bytes))
+    return encode(image)
+
+
+def decode_image(body: bytes) -> tuple[AgentImage, bytes]:
+    """Decode wire bytes into an image and the exact bytes of its state.
+
+    The second item is the state entry's span in ``body``, which the
+    canonical codec guarantees equals ``encode(image.state)``: the
+    receiver digests what it received instead of re-encoding it.
+    """
+    spans: dict[Any, tuple[int, int]] = {}
+    image = decode(body, spans=spans)
+    if not isinstance(image, AgentImage):
+        raise TransferError("payload is not an agent image")
+    start, end = spans["state"]
+    return image, body[start:end]
 
 
 def capture_image(

@@ -17,6 +17,7 @@ always be available".
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 from repro.crypto.cert import Certificate
@@ -117,7 +118,7 @@ class Credentials:
 
     def digest(self) -> bytes:
         """Canonical digest of the signed body (anchors delegation links)."""
-        return canonical_digest(self.body())
+        return _body_digest(self)
 
     def verify(self, trust_anchor: TrustAnchor, now: float) -> None:
         """Full validation; raises a :class:`CredentialError` subclass on failure."""
@@ -158,3 +159,10 @@ class Credentials:
 
 
 register_serializable(Credentials, intern=True)
+
+
+@functools.lru_cache(maxsize=256)
+def _body_digest(credentials: Credentials) -> bytes:
+    """:meth:`Credentials.digest`, memoized by value (credentials are
+    frozen); the validity window stays a per-call check in ``verify``."""
+    return canonical_digest(credentials.body())

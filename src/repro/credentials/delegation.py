@@ -17,6 +17,7 @@ principal earlier in the chain granted.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 from repro.crypto.cert import Certificate
@@ -68,7 +69,7 @@ class DelegationLink:
         )
 
     def digest(self) -> bytes:
-        return canonical_digest(self.body())
+        return _link_digest(self)
 
     def to_state(self) -> dict:
         state = self.body()
@@ -88,6 +89,12 @@ class DelegationLink:
 
 
 register_serializable(DelegationLink, intern=True)
+
+
+@functools.lru_cache(maxsize=256)
+def _link_digest(link: DelegationLink) -> bytes:
+    """:meth:`DelegationLink.digest`, memoized by value (links are frozen)."""
+    return canonical_digest(link.body())
 
 
 @dataclass(frozen=True, slots=True)
@@ -178,7 +185,7 @@ class DelegatedCredentials:
             trust_anchor.validate(link.delegator_certificate)
             try:
                 link.delegator_certificate.public_key.verify(
-                    canonical_digest(link.body()), link.signature
+                    link.digest(), link.signature
                 )
             except SignatureError as exc:
                 raise CredentialError(

@@ -9,6 +9,7 @@ validate chains with expiry checking.
 
 from __future__ import annotations
 
+import functools
 import random
 from dataclasses import dataclass
 
@@ -49,7 +50,7 @@ class Certificate:
                 f"(window [{self.not_before}, {self.not_after}])"
             )
         try:
-            issuer_key.verify(canonical_digest(self.signed_body()), self.signature)
+            issuer_key.verify(_signed_digest(self), self.signature)
         except SignatureError as exc:
             raise CredentialError(
                 f"certificate for {self.subject!r} has an invalid signature"
@@ -73,6 +74,16 @@ class Certificate:
 
 
 register_serializable(Certificate, intern=True)
+
+
+@functools.lru_cache(maxsize=256)
+def _signed_digest(certificate: Certificate) -> bytes:
+    """Digest of a certificate's signed body, memoized by value.
+
+    Certificates are frozen and recur in every chain a server checks;
+    the validity window stays a per-call check in :meth:`verify`.
+    """
+    return canonical_digest(certificate.signed_body())
 
 
 class CertificateAuthority:

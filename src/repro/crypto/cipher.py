@@ -1,17 +1,15 @@
-"""Symmetric AEAD: SHA-256 counter-mode stream cipher with encrypt-then-MAC.
+"""Symmetric AEAD: SHAKE-256 keystream cipher with encrypt-then-MAC.
 
 Secure channels (section 2: privacy + integrity of communication) seal
-every payload with :func:`seal_payload` and reject anything
-:func:`open_payload` cannot authenticate.  Key separation: independent
-encryption and MAC keys are derived from the session key, and the MAC
-covers ``nonce || associated_data || ciphertext`` with length framing, so
+every payload with a :class:`SealContext` and reject anything it cannot
+authenticate.  Key separation: independent encryption and MAC keys are
+derived from the session key, and the MAC covers
+``nonce || associated_data || ciphertext`` with length framing, so
 splicing attacks across fields are detected.
 
-:class:`SealContext` is the amortized per-session form: the enc/MAC key
-derivation and the HMAC key schedule run once when the channel is
-established, not once per message.  The one-shot functions re-derive
-everything per call — identical bytes on the wire (pinned by tests),
-so the two forms interoperate freely.
+:class:`SealContext` derives the enc/MAC keys and runs the HMAC key
+schedule once per session, not once per message.  :func:`seal_payload`
+and :func:`open_payload` are its one-shot forms for a single message.
 """
 
 from __future__ import annotations
@@ -19,7 +17,7 @@ from __future__ import annotations
 import hashlib
 
 from repro.crypto.hashing import derive_key
-from repro.crypto.mac import HmacKey, hmac_sha256, verify_hmac
+from repro.crypto.mac import HmacKey
 from repro.errors import CryptoError, IntegrityError
 
 __all__ = [
@@ -33,26 +31,21 @@ __all__ = [
 
 NONCE_SIZE = 16
 TAG_SIZE = 32
-_BLOCK = 32  # SHA-256 output size
 
 
 def keystream_xor(key: bytes, nonce: bytes, data: bytes) -> bytes:
-    """XOR ``data`` with the SHA-256 counter keystream for (key, nonce).
+    """XOR ``data`` with the SHAKE-256 keystream for (key, nonce).
 
-    Symmetric: applying it twice with the same key/nonce returns the
-    original plaintext.
+    The keystream is ``SHAKE-256(key || nonce)`` squeezed to
+    ``len(data)`` bytes in one call.  Symmetric: applying it twice with
+    the same key/nonce returns the original plaintext.
     """
     if len(nonce) != NONCE_SIZE:
         raise CryptoError(f"nonce must be {NONCE_SIZE} bytes, got {len(nonce)}")
     if not data:
         return b""
-    prefix = key + nonce
-    stream = b"".join(
-        hashlib.sha256(prefix + counter.to_bytes(8, "big")).digest()
-        for counter in range((len(data) + _BLOCK - 1) // _BLOCK)
-    )[: len(data)]
-    # One big-int XOR instead of a per-byte Python loop: the keystream
-    # bytes are identical, only the combining step is vectorized.
+    stream = hashlib.shake_256(key + nonce).digest(len(data))
+    # One big-int XOR instead of a per-byte Python loop.
     xored = int.from_bytes(data, "big") ^ int.from_bytes(stream, "big")
     return xored.to_bytes(len(data), "big")
 
@@ -77,12 +70,8 @@ def seal_payload(
     plaintext: bytes,
     associated_data: bytes = b"",
 ) -> bytes:
-    """Encrypt-then-MAC.  Returns ``nonce || ciphertext || tag``."""
-    enc_key = derive_key(session_key, "enc")
-    mac_key = derive_key(session_key, "mac")
-    ciphertext = keystream_xor(enc_key, nonce, plaintext)
-    tag = hmac_sha256(mac_key, _frame(nonce, associated_data, ciphertext))
-    return nonce + ciphertext + tag
+    """One-shot :meth:`SealContext.seal`: ``nonce || ciphertext || tag``."""
+    return SealContext(session_key).seal(nonce, plaintext, associated_data)
 
 
 def open_payload(
@@ -90,31 +79,20 @@ def open_payload(
     sealed: bytes,
     associated_data: bytes = b"",
 ) -> bytes:
-    """Authenticate and decrypt a sealed payload.
+    """One-shot :meth:`SealContext.open`.
 
     Raises :class:`~repro.errors.IntegrityError` if the tag does not
     verify — the "data is either delivered unmodified, or an exception is
     raised" guarantee of section 2.
     """
-    if len(sealed) < NONCE_SIZE + TAG_SIZE:
-        raise IntegrityError("sealed payload too short")
-    nonce = sealed[:NONCE_SIZE]
-    ciphertext = sealed[NONCE_SIZE:-TAG_SIZE]
-    tag = sealed[-TAG_SIZE:]
-    enc_key = derive_key(session_key, "enc")
-    mac_key = derive_key(session_key, "mac")
-    if not verify_hmac(mac_key, _frame(nonce, associated_data, ciphertext), tag):
-        raise IntegrityError("payload failed authentication (tampered or wrong key)")
-    return keystream_xor(enc_key, nonce, ciphertext)
+    return SealContext(session_key).open(sealed, associated_data)
 
 
 class SealContext:
     """Per-session AEAD context: keys derived once, MAC pads cached.
 
     A secure channel seals every message under the same session key, so
-    re-deriving the enc/MAC subkeys and re-absorbing the HMAC key blocks
-    per message was pure overhead.  Output is bit-identical to the
-    one-shot :func:`seal_payload`/:func:`open_payload` pair.
+    the enc/MAC subkeys and the HMAC key blocks are derived once, here.
     """
 
     __slots__ = ("_enc_key", "_mac")

@@ -7,7 +7,8 @@ Implements the section-2 requirements end-to-end:
   keys (the responder by deriving the KEM session key, the initiator by
   signing the key-exchange transcript).
 * **Privacy + integrity** — every data payload is sealed with the AEAD
-  cipher (:func:`repro.crypto.cipher.seal_payload`); tampering raises
+  cipher (the channel's :class:`repro.crypto.cipher.SealContext`,
+  created once per session); tampering raises
   :class:`~repro.errors.IntegrityError` at the receiver and the message
   is discarded (and counted).
 * **Replay protection** — strictly increasing sequence numbers inside the
@@ -76,8 +77,7 @@ class SecureChannel:
         self.peer = peer  # authenticated peer principal name
         self._key = session_key
         # Enc/MAC subkeys and the HMAC key schedule are derived once per
-        # session here, not once per message (the old seal_payload path
-        # re-derived both for every frame).
+        # session here, not once per message.
         self._seal = SealContext(session_key)
         self._aad = channel_id.encode()
         self._send_seq = 0

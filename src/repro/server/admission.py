@@ -143,12 +143,15 @@ class AdmissionPolicy:
         wire_size: int | None = None,
         *,
         peer: str | None = None,
+        state_bytes: bytes | None = None,
     ) -> None:
         """Raise if the image must not be hosted.
 
         ``peer`` is the authenticated sender for network arrivals (the
         transfer handler passes it); local launches leave it None, which
-        skips the peer-bound appraisal-chain checks.
+        skips the peer-bound appraisal-chain checks.  ``state_bytes`` is
+        the span of the received bytes that carried the state; the
+        appraisal digests it.
 
         Traced as ``admission.validate``; a refusal closes the span with
         status ``error`` naming the failed check's exception.
@@ -188,7 +191,7 @@ class AdmissionPolicy:
                 image.credentials, self.trust_anchor, self.clock.now()
             )
             if self.integrity is not None and peer is not None:
-                self.integrity.verify_arrival(image, peer)
+                self.integrity.verify_arrival(image, peer, state_bytes)
                 if image.home_site == self.integrity.name:
                     # The home server re-appraises the whole tour on return.
                     self.integrity.verify_return(image, peer)

@@ -31,7 +31,7 @@ from typing import Any, Callable, Iterable, Iterator
 from repro.agents.agent import Agent, Completion, Departure, trusted_agent_class
 from repro.agents.environment import AgentEnvironment
 from repro.agents.integrity import APPRAISAL_ATTRIBUTE, IntegrityAuthority
-from repro.agents.transfer import AgentImage
+from repro.agents.transfer import AgentImage, decode_image, encode_image
 from repro.core.binding import BindingService
 from repro.core.domain_db import DomainDatabase
 from repro.core.registry import ResourceRegistry
@@ -593,16 +593,21 @@ class AgentServer:
                 trace_ctx=span.context.to_attributes()
             )
             span.set_attribute("transfer_id", transfer_id)
+        # The state is encoded once: the appraisal seal digests these
+        # bytes and the offer embeds them in the wire image.
+        state_bytes = encode(outgoing.state)
         if self.integrity is not None:
             # Seal the appraisal link *before* journaling, so crash
             # recovery re-offers the identical sealed image (a journal
             # replay must never append a second link for the same hop).
-            outgoing = self.integrity.seal_departure(outgoing, destination)
+            outgoing = self.integrity.seal_departure(
+                outgoing, destination, state_bytes
+            )
         self._journal.record(
             transfer_id, outgoing, destination, domain.domain_id, self.clock.now()
         )
         try:
-            reply = self._offer_image(outgoing, destination)
+            reply = self._offer_image(outgoing, destination, state_bytes)
         except CircuitOpenError as exc:
             self._journal.resolve(transfer_id)
             self.stats.add("transfers_failed")
@@ -639,18 +644,29 @@ class AgentServer:
             self._breakers[destination] = breaker
         return breaker
 
-    def _offer_image(self, image: AgentImage, destination: str) -> dict:
+    def _offer_image(
+        self,
+        image: AgentImage,
+        destination: str,
+        state_bytes: bytes | None = None,
+    ) -> dict:
         """Offer ``image`` to ``destination`` under the retry policy.
 
-        Returns the decoded reply dict on any definitive answer.  Raises
+        ``state_bytes``, if given, is ``encode(image.state)``.  Returns
+        the decoded reply dict on any definitive answer.  Raises
         :class:`TransferRetryExhaustedError` once every attempt failed,
         or :class:`CircuitOpenError` when the destination's breaker
         refuses.  Must run in a simulated thread.
         """
+        state = image.state
         if self.outbound_tamper is not None:
             # Red-team hook: a compromised host rewrites what it forwards.
             image, destination = self.outbound_tamper(image, destination)
-        payload = encode(image)
+        # The encoded state belongs to one state object: a rewritten
+        # state is encoded afresh, so what the tamper made is what ships.
+        payload = encode_image(
+            image, state_bytes if image.state is state else None
+        )
 
         def attempt(_: int) -> dict:
             self.stats.add("transfer_attempts")
@@ -947,8 +963,8 @@ class AgentServer:
                 return encode({"status": "refused", "reason": "sender quarantined"})
             tid: str | None = None
             try:
-                image = decode(body)
-                if span is not None and isinstance(image, AgentImage):
+                image, state_bytes = decode_image(body)
+                if span is not None:
                     if isinstance(image.attributes, dict):
                         carried = SpanContext.from_attributes(
                             image.attributes.get("trace_ctx")
@@ -958,8 +974,6 @@ class AgentServer:
                             # (learned only now — after the span opened).
                             span.adopt_context(carried)
                     span.set_attribute("agent", str(image.name))
-                if not isinstance(image, AgentImage):
-                    raise TransferError("payload is not an agent image")
                 # Idempotent receive: a retransmission of a transfer this
                 # server already answered (lost ack, sender retry or crash
                 # recovery) gets the cached reply — the agent is not admitted
@@ -990,7 +1004,9 @@ class AgentServer:
                     # draining must still get its cached "accepted".
                     self.stats.add("transfers_refused_draining")
                     raise TransferError("server draining")
-                self.admission.validate(image, wire_size=len(body), peer=peer)
+                self.admission.validate(
+                    image, wire_size=len(body), peer=peer, state_bytes=state_bytes
+                )
             except AgentIntegrityError as exc:
                 return self._reject_integrity(peer, tid, span, exc)
             except ReproError as exc:

@@ -54,7 +54,8 @@ from typing import Any, Collection
 
 from repro.agents.integrity import COMMITMENT_ATTRIBUTE
 from repro.agents.itinerary import ItineraryCommitment
-from repro.agents.transfer import AgentImage
+from repro.agents.transfer import AgentImage, encode_image
+from repro.crypto.hashing import sha256
 from repro.errors import (
     NamingError,
     NetworkError,
@@ -63,7 +64,7 @@ from repro.errors import (
 )
 from repro.naming.urn import URN
 from repro.sim.monitor import Counter
-from repro.util.serialization import canonical_digest, decode, encode
+from repro.util.serialization import Verbatim, decode, encode
 
 __all__ = [
     "CHECKPOINT_APP_KIND",
@@ -159,12 +160,22 @@ class RecoveryCoordinator:
 
     # -- checkpoint capture (hosting side) ---------------------------------------
 
-    def escrow_image(self, image: AgentImage, state: dict[str, Any]) -> AgentImage:
-        """Build the sealed virtual departure ``here → home`` for ``image``."""
+    def escrow_image(
+        self,
+        image: AgentImage,
+        state: dict[str, Any],
+        state_bytes: bytes | None = None,
+    ) -> AgentImage:
+        """Build the sealed virtual departure ``here → home`` for ``image``.
+
+        ``state_bytes`` is ``encode(state)`` when the caller holds it.
+        """
         server = self.server
         escrow = image.with_hop(server.name).with_state(state, image.entry_method)
         if server.integrity is not None:
-            escrow = server.integrity.seal_departure(escrow, image.home_site)
+            escrow = server.integrity.seal_departure(
+                escrow, image.home_site, state_bytes
+            )
         return escrow
 
     def on_admission(self, image: AgentImage) -> None:
@@ -175,7 +186,12 @@ class RecoveryCoordinator:
         """
         self._checkpoint(image, image.state)
 
-    def _checkpoint(self, image: AgentImage, state: dict[str, Any]) -> None:
+    def _checkpoint(
+        self,
+        image: AgentImage,
+        state: dict[str, Any],
+        state_bytes: bytes | None = None,
+    ) -> None:
         server = self.server
         if image.home_site == server.name:
             # An escrow stored in the same failure domain as the
@@ -186,19 +202,23 @@ class RecoveryCoordinator:
             self.stats.add("checkpoints_local_skipped")
             return
         key = str(image.name)
-        escrow = self.escrow_image(image, state)
+        # One encoding of the state feeds the seal, the pushed image and
+        # the freshness digest.
+        if state_bytes is None:
+            state_bytes = encode(state)
+        escrow = self.escrow_image(image, state, state_bytes)
         seq = (len(escrow.trace), self.clock.now())
         body = encode(
             {
                 "op": "checkpoint",
-                "image": escrow,
+                "image": Verbatim(encode_image(escrow, state_bytes)),
                 "location": server.name,
                 "seq": list(seq),
             }
         )
         self._outbox.append((image.home_site, key, body))
         self.stats.add("checkpoints_queued")
-        self._fresh[key] = canonical_digest(state)
+        self._fresh[key] = sha256(state_bytes)
         self._kick_sender()
 
     def on_resident_gone(self, image: AgentImage, status: str) -> None:
@@ -240,13 +260,14 @@ class RecoveryCoordinator:
                 state = instance.capture_state()
             except ReproError:
                 continue
-            if self._fresh.get(str(image.name)) == canonical_digest(state):
+            state_bytes = encode(state)
+            if self._fresh.get(str(image.name)) == sha256(state_bytes):
                 # The home site already holds exactly this state (the
                 # admission push, or an earlier tick): nothing to seal,
                 # nothing to send.
                 self.stats.add("checkpoints_skipped_fresh")
                 continue
-            self._checkpoint(image, state)
+            self._checkpoint(image, state, state_bytes)
             self.stats.add("checkpoints_refreshed")
 
     def _kick_sender(self) -> None:

@@ -14,7 +14,10 @@ Two properties drive this design, both demanded by the paper:
    protocol sign serialized values; signature verification requires that
    the same value always encodes to the same bytes.  Dictionaries and sets
    are therefore encoded with entries sorted by their encoded byte string,
-   ints use a zigzag varint, and floats a fixed 8-byte IEEE-754 encoding.
+   ints use a minimal zigzag varint, and floats a fixed 8-byte IEEE-754
+   encoding.  The decoder refuses every other spelling, so a value has
+   exactly one accepted encoding and the digest of a sub-value is the
+   SHA-256 of its byte span inside the container.
 
 Supported values: ``None``, ``bool``, ``int``, ``float``, ``str``,
 ``bytes``, ``list``, ``tuple``, ``set``, ``frozenset``, ``dict`` and
@@ -25,6 +28,7 @@ guard).  Cycles are rejected.
 from __future__ import annotations
 
 import struct
+from operator import itemgetter
 from typing import Any, Protocol, runtime_checkable
 
 from repro.errors import SerializationError
@@ -41,20 +45,18 @@ __all__ = [
 
 MAX_DEPTH = 64
 
-# Type tags (single ASCII byte each).
-_T_NONE = b"N"
-_T_TRUE = b"T"
-_T_FALSE = b"F"
-_T_INT = b"I"
-_T_FLOAT = b"D"
-_T_STR = b"S"
-_T_BYTES = b"B"
-_T_LIST = b"L"
-_T_TUPLE = b"U"
-_T_SET = b"E"
-_T_FROZENSET = b"R"
-_T_DICT = b"M"
-_T_OBJECT = b"O"
+# Type tags: one ASCII byte each, unpacked to ints.
+_T_NONE, _T_TRUE, _T_FALSE, _T_INT, _T_FLOAT, _T_STR, _T_BYTES = b"NTFIDSB"
+_T_LIST, _T_TUPLE, _T_SET, _T_FROZENSET, _T_DICT, _T_OBJECT = b"LUERMO"
+# Tags followed by a length or an item count.
+_SIZED_TAGS = frozenset(b"SBLUERMO")
+
+# Tag + one-byte length (or zigzag value) for the common short cases.
+_STR_HEAD = tuple(bytes((_T_STR, n)) for n in range(0x80))
+_BYTES_HEAD = tuple(bytes((_T_BYTES, n)) for n in range(0x80))
+_INT_HEAD = tuple(bytes((_T_INT, z)) for z in range(0x80))
+
+_DOUBLE = struct.Struct(">d")
 
 
 @runtime_checkable
@@ -71,7 +73,24 @@ class Serializable(Protocol):
     def from_state(cls, state: Any) -> "Serializable": ...
 
 
-_ENCODERS: dict[type, str] = {}
+class Verbatim:
+    """An already-canonical encoding that :func:`encode` embeds as is.
+
+    A caller holding ``encode(value)`` can place it inside a larger value
+    without encoding ``value`` again; the result is byte-identical to
+    encoding the larger value with ``value`` in its place.  The bytes are
+    trusted, so only wrap what :func:`encode` (or a span :func:`decode`
+    reported) produced.
+    """
+
+    __slots__ = ("data",)
+
+    def __init__(self, data: bytes) -> None:
+        self.data = data
+
+
+# Registered class -> its frame header (tag, name length, name bytes).
+_ENCODERS: dict[type, bytes] = {}
 _DECODERS: dict[str, type] = {}
 
 # Value-interning for immutable registered classes (``intern=True``):
@@ -107,7 +126,10 @@ def register_serializable(
     existing = _DECODERS.get(key)
     if existing is not None and existing is not cls:
         raise SerializationError(f"serialization name {key!r} already registered")
-    _ENCODERS[cls] = key
+    raw = key.encode("utf-8")
+    header = bytearray((_T_OBJECT,))
+    _write_uvarint(header, len(raw))
+    _ENCODERS[cls] = bytes(header + raw)
     _DECODERS[key] = cls
     if intern:
         _INTERN_TYPES.add(cls)
@@ -148,18 +170,14 @@ def _read_uvarint(data: bytes, pos: int) -> tuple[int, int]:
         pos += 1
         result |= (byte & 0x7F) << shift
         if not byte & 0x80:
+            # A zero final group after the first adds nothing: the encoder
+            # never writes one, so it is a second spelling of the value.
+            if not byte and shift:
+                raise SerializationError("non-minimal varint")
             return result, pos
         shift += 7
         if shift > 1024:  # ints can be big (RSA moduli) but not unbounded
             raise SerializationError("varint too long")
-
-
-def _zigzag_encode(value: int) -> int:
-    return (value << 1) if value >= 0 else ((-value) << 1) - 1
-
-
-def _zigzag_decode(value: int) -> int:
-    return (value >> 1) if not value & 1 else -((value + 1) >> 1)
 
 
 # ---------------------------------------------------------------------------
@@ -170,75 +188,80 @@ def _zigzag_decode(value: int) -> int:
 def _encode_into(out: bytearray, value: Any, depth: int, active: set[int]) -> None:
     if depth > MAX_DEPTH:
         raise SerializationError(f"value nesting exceeds MAX_DEPTH={MAX_DEPTH}")
-    if value is None:
-        out += _T_NONE
-    elif value is True:
-        out += _T_TRUE
-    elif value is False:
-        out += _T_FALSE
-    elif type(value) is int:
-        out += _T_INT
-        _write_uvarint(out, _zigzag_encode(value))
-    elif type(value) is float:
-        out += _T_FLOAT
-        out += struct.pack(">d", value)
-    elif type(value) is str:
+    kind = type(value)
+    if kind is str:
         raw = value.encode("utf-8")
-        out += _T_STR
-        _write_uvarint(out, len(raw))
+        n = len(raw)
+        if n < 0x80:
+            out += _STR_HEAD[n]
+        else:
+            out.append(_T_STR)
+            _write_uvarint(out, n)
         out += raw
-    elif type(value) in (bytes, bytearray):
-        out += _T_BYTES
+    elif kind is int:
+        zigzag = value << 1 if value >= 0 else ((-value) << 1) - 1
+        if zigzag < 0x80:
+            out += _INT_HEAD[zigzag]
+        else:
+            out.append(_T_INT)
+            _write_uvarint(out, zigzag)
+    elif kind is dict:
+        # Entries sorted by encoded key; keys are distinct, so the values
+        # never take part in the order and are encoded in place.
+        entries = [
+            (_encode_one(key, depth + 1, active), item) for key, item in value.items()
+        ]
+        entries.sort(key=itemgetter(0))
+        out.append(_T_DICT)
+        _write_uvarint(out, len(entries))
+        for key_bytes, item in entries:
+            out += key_bytes
+            _encode_into(out, item, depth + 1, active)
+    elif kind is tuple or kind is list:
+        marker = id(value)
+        if marker in active:
+            raise SerializationError("cyclic value cannot be serialized")
+        active.add(marker)
+        out.append(_T_TUPLE if kind is tuple else _T_LIST)
         _write_uvarint(out, len(value))
-        out += bytes(value)
-    elif type(value) is list:
-        _encode_sequence(out, _T_LIST, value, depth, active)
-    elif type(value) is tuple:
-        _encode_sequence(out, _T_TUPLE, value, depth, active)
-    elif type(value) in (set, frozenset):
-        tag = _T_SET if type(value) is set else _T_FROZENSET
-        items = sorted(_encode_one(v, depth + 1, active) for v in value)
-        out += tag
+        for item in value:
+            _encode_into(out, item, depth + 1, active)
+        active.discard(marker)
+    elif kind is bytes or kind is bytearray:
+        n = len(value)
+        if n < 0x80:
+            out += _BYTES_HEAD[n]
+        else:
+            out.append(_T_BYTES)
+            _write_uvarint(out, n)
+        out += value
+    elif value is None:
+        out.append(_T_NONE)
+    elif kind is bool:
+        out.append(_T_TRUE if value else _T_FALSE)
+    elif kind is float:
+        out.append(_T_FLOAT)
+        out += _DOUBLE.pack(value)
+    elif kind is set or kind is frozenset:
+        items = sorted(_encode_one(item, depth + 1, active) for item in value)
+        out.append(_T_SET if kind is set else _T_FROZENSET)
         _write_uvarint(out, len(items))
         for item in items:
             out += item
-    elif type(value) is dict:
-        entries = sorted(
-            (_encode_one(k, depth + 1, active), _encode_one(v, depth + 1, active))
-            for k, v in value.items()
-        )
-        out += _T_DICT
-        _write_uvarint(out, len(entries))
-        for key_bytes, val_bytes in entries:
-            out += key_bytes
-            out += val_bytes
+    elif kind is Verbatim:
+        out += value.data
     else:
         _encode_object(out, value, depth, active)
 
 
-def _encode_sequence(
-    out: bytearray, tag: bytes, value: Any, depth: int, active: set[int]
-) -> None:
-    marker = id(value)
-    if marker in active:
-        raise SerializationError("cyclic value cannot be serialized")
-    active.add(marker)
-    try:
-        out += tag
-        _write_uvarint(out, len(value))
-        for item in value:
-            _encode_into(out, item, depth + 1, active)
-    finally:
-        active.discard(marker)
-
-
 def _encode_object(out: bytearray, value: Any, depth: int, active: set[int]) -> None:
-    name = _ENCODERS.get(type(value))
-    if name is None:
+    kind = type(value)
+    header = _ENCODERS.get(kind)
+    if header is None:
         raise SerializationError(
-            f"cannot serialize unregistered type {type(value).__qualname__}"
+            f"cannot serialize unregistered type {kind.__qualname__}"
         )
-    interned = type(value) in _INTERN_TYPES
+    interned = kind in _INTERN_TYPES
     if interned:
         cached = _ENCODE_CACHE.get(value)
         if cached is not None:
@@ -248,23 +271,17 @@ def _encode_object(out: bytearray, value: Any, depth: int, active: set[int]) -> 
     if marker in active:
         raise SerializationError("cyclic value cannot be serialized")
     active.add(marker)
-    try:
-        raw = name.encode("utf-8")
-        frame = bytearray()
-        frame += _T_OBJECT
-        _write_uvarint(frame, len(raw))
-        frame += raw
-        state = bytearray()
-        _encode_into(state, value.to_state(), depth + 1, active)
-        _write_uvarint(frame, len(state))
-        frame += state
-        out += frame
-        if interned:
-            if len(_ENCODE_CACHE) >= _INTERN_CAPACITY:
-                _ENCODE_CACHE.clear()
-            _ENCODE_CACHE[value] = bytes(frame)
-    finally:
-        active.discard(marker)
+    state = bytearray()
+    _encode_into(state, value.to_state(), depth + 1, active)
+    active.discard(marker)
+    start = len(out)
+    out += header
+    _write_uvarint(out, len(state))
+    out += state
+    if interned:
+        if len(_ENCODE_CACHE) >= _INTERN_CAPACITY:
+            _ENCODE_CACHE.clear()
+        _ENCODE_CACHE[value] = bytes(out[start:])
 
 
 def _encode_one(value: Any, depth: int, active: set[int]) -> bytes:
@@ -285,126 +302,158 @@ def encode(value: Any) -> bytes:
 # ---------------------------------------------------------------------------
 
 
-def _decode_from(data: bytes, pos: int, depth: int) -> tuple[Any, int]:
+def _decode_from(
+    data: bytes, pos: int, depth: int, spans: dict | None = None
+) -> tuple[Any, int]:
     if depth > MAX_DEPTH:
         raise SerializationError(f"value nesting exceeds MAX_DEPTH={MAX_DEPTH}")
-    if pos >= len(data):
+    size = len(data)
+    if pos >= size:
         raise SerializationError("truncated value")
-    tag = data[pos : pos + 1]
+    tag = data[pos]
     pos += 1
+    if tag == _T_INT:
+        if pos < size and data[pos] < 0x80:
+            zigzag = data[pos]
+            pos += 1
+        else:
+            zigzag, pos = _read_uvarint(data, pos)
+        return (zigzag >> 1) if not zigzag & 1 else -((zigzag + 1) >> 1), pos
     if tag == _T_NONE:
         return None, pos
     if tag == _T_TRUE:
         return True, pos
     if tag == _T_FALSE:
         return False, pos
-    if tag == _T_INT:
-        raw, pos = _read_uvarint(data, pos)
-        return _zigzag_decode(raw), pos
     if tag == _T_FLOAT:
-        if pos + 8 > len(data):
+        if pos + 8 > size:
             raise SerializationError("truncated float")
-        return struct.unpack(">d", data[pos : pos + 8])[0], pos + 8
+        return _DOUBLE.unpack_from(data, pos)[0], pos + 8
+    if tag not in _SIZED_TAGS:
+        raise SerializationError(f"unknown type tag {bytes((tag,))!r}")
+    # Every other tag is followed by a length or an item count.
+    if pos < size and data[pos] < 0x80:
+        n = data[pos]
+        pos += 1
+    else:
+        n, pos = _read_uvarint(data, pos)
+    if n > size - pos:  # each item is at least one byte, too
+        raise SerializationError("declared length exceeds remaining data")
     if tag == _T_STR:
-        length, pos = _read_uvarint(data, pos)
-        _check_length(data, pos, length)
+        end = pos + n
         try:
-            return data[pos : pos + length].decode("utf-8"), pos + length
+            return data[pos:end].decode("utf-8"), end
         except UnicodeDecodeError as exc:
             raise SerializationError("invalid utf-8 in string") from exc
     if tag == _T_BYTES:
-        length, pos = _read_uvarint(data, pos)
-        _check_length(data, pos, length)
-        return data[pos : pos + length], pos + length
-    if tag in (_T_LIST, _T_TUPLE, _T_SET, _T_FROZENSET):
-        count, pos = _read_uvarint(data, pos)
-        _check_length(data, pos, count)  # each item is at least one byte
-        items = []
-        for _ in range(count):
-            item, pos = _decode_from(data, pos, depth + 1)
-            items.append(item)
-        if tag == _T_LIST:
-            return items, pos
-        if tag == _T_TUPLE:
-            return tuple(items), pos
-        if tag == _T_SET:
-            return set(items), pos
-        return frozenset(items), pos
+        end = pos + n
+        return data[pos:end], end
     if tag == _T_DICT:
-        count, pos = _read_uvarint(data, pos)
-        _check_length(data, pos, count)
         result: dict[Any, Any] = {}
         # Canonical encodings list entries sorted by encoded key, so the
         # key bytes must be strictly increasing.  Enforcing that here
         # rejects duplicate keys (a smuggling vector: two ``transfer_id``
         # entries where validation sees one and use sees the other) and
         # makes every accepted encoding bit-for-bit re-encodable.
-        prev_key: bytes | None = None
-        for _ in range(count):
-            key_start = pos
+        prev_key = b""  # sorts before every encoding
+        for _ in range(n):
+            start = pos
             key, pos = _decode_from(data, pos, depth + 1)
-            key_bytes = data[key_start:pos]
-            if prev_key is not None and key_bytes <= prev_key:
+            key_bytes = data[start:pos]
+            if key_bytes <= prev_key:
                 raise SerializationError(
                     "non-canonical dict encoding (duplicate or unsorted keys)"
                 )
             prev_key = key_bytes
-            val, pos = _decode_from(data, pos, depth + 1)
-            result[key] = val
+            start = pos
+            item, pos = _decode_from(data, pos, depth + 1)
+            try:
+                result[key] = item
+            except TypeError:
+                raise SerializationError("unhashable dict key") from None
+            if spans is not None:
+                spans[key] = (start, pos)
         return result, pos
+    if tag == _T_LIST or tag == _T_TUPLE:
+        items = []
+        for _ in range(n):
+            item, pos = _decode_from(data, pos, depth + 1)
+            items.append(item)
+        return (items if tag == _T_LIST else tuple(items)), pos
     if tag == _T_OBJECT:
-        length, pos = _read_uvarint(data, pos)
-        _check_length(data, pos, length)
-        try:
-            name = data[pos : pos + length].decode("utf-8")
-        except UnicodeDecodeError as exc:
-            raise SerializationError("invalid utf-8 in type name") from exc
-        pos += length
-        cls = registered_class(name)
-        state_len, pos = _read_uvarint(data, pos)
-        _check_length(data, pos, state_len)
-        end = pos + state_len
-        if cls in _INTERN_TYPES:
-            key = (name, data[pos:end])
-            cached = _DECODE_CACHE.get(key)
-            if cached is not None:
-                return cached, end
-        state, state_end = _decode_from(data, pos, depth + 1)
-        if state_end != end:
+        return _decode_object(data, pos, n, depth, spans)
+    # The one sized tag left: a set or frozenset.
+    items = []
+    # Same rule as dict keys: strictly increasing item encodings.
+    prev_item = b""
+    for _ in range(n):
+        start = pos
+        item, pos = _decode_from(data, pos, depth + 1)
+        item_bytes = data[start:pos]
+        if item_bytes <= prev_item:
             raise SerializationError(
-                f"object state length mismatch for {name!r}"
+                "non-canonical set encoding (duplicate or unsorted items)"
             )
-        try:
-            obj = cls.from_state(state)
-        except SerializationError:
-            raise
-        except Exception as exc:
-            raise SerializationError(
-                f"from_state failed for {name!r}: {exc}"
-            ) from exc
-        if cls in _INTERN_TYPES:
-            if len(_DECODE_CACHE) >= _INTERN_CAPACITY:
-                _DECODE_CACHE.clear()
-            _DECODE_CACHE[name, data[pos:end]] = obj
-        return obj, end
-    raise SerializationError(f"unknown type tag {tag!r}")
+        prev_item = item_bytes
+        items.append(item)
+    try:
+        return (set(items) if tag == _T_SET else frozenset(items)), pos
+    except TypeError:
+        raise SerializationError("unhashable set item") from None
 
 
-def _check_length(data: bytes, pos: int, length: int) -> None:
-    if length > len(data) - pos:
+def _decode_object(
+    data: bytes, pos: int, name_len: int, depth: int, spans: dict | None
+) -> tuple[Any, int]:
+    end = pos + name_len
+    try:
+        name = data[pos:end].decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise SerializationError("invalid utf-8 in type name") from exc
+    cls = registered_class(name)
+    state_len, pos = _read_uvarint(data, end)
+    if state_len > len(data) - pos:
         raise SerializationError("declared length exceeds remaining data")
+    end = pos + state_len
+    interned = cls in _INTERN_TYPES
+    if interned:
+        key = (name, data[pos:end])
+        cached = _DECODE_CACHE.get(key)
+        if cached is not None:
+            return cached, end
+    state, state_end = _decode_from(data, pos, depth + 1, spans)
+    if state_end != end:
+        raise SerializationError(f"object state length mismatch for {name!r}")
+    try:
+        obj = cls.from_state(state)
+    except SerializationError:
+        raise
+    except Exception as exc:
+        raise SerializationError(f"from_state failed for {name!r}: {exc}") from exc
+    if interned:
+        if len(_DECODE_CACHE) >= _INTERN_CAPACITY:
+            _DECODE_CACHE.clear()
+        _DECODE_CACHE[key] = obj
+    return obj, end
 
 
-def decode(data: bytes) -> Any:
+def decode(data: bytes, *, spans: dict | None = None) -> Any:
     """Deserialize canonical bytes produced by :func:`encode`.
 
     Safe on untrusted input: no code execution beyond registered
-    ``from_state`` constructors, and all declared lengths are validated
-    against the buffer before allocation.
+    ``from_state`` constructors, all declared lengths are validated
+    against the buffer before allocation, and any encoding :func:`encode`
+    would not have produced is refused, so every accepted byte string
+    re-encodes bit for bit.
+
+    ``spans``, when given, receives ``key -> (start, end)`` for each entry
+    of the outermost dict (for an outermost object of a class registered
+    without ``intern``, of its state dict): ``data[start:end]`` is
+    exactly ``encode`` of that entry's value.
     """
     if not isinstance(data, (bytes, bytearray)):
         raise SerializationError(f"decode expects bytes, got {type(data).__name__}")
-    value, pos = _decode_from(bytes(data), 0, 0)
+    value, pos = _decode_from(bytes(data), 0, 0, spans)
     if pos != len(data):
         raise SerializationError(f"{len(data) - pos} trailing bytes after value")
     return value

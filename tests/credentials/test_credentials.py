@@ -62,6 +62,14 @@ class TestCredentials:
         with pytest.raises(CredentialExpiredError):
             cred.verify(ca, clock.now() + 11.0)
 
+    def test_verified_credentials_still_expire(self, setup):
+        """The body digest is memoized; the validity window is not."""
+        clock, ca, *_ = setup
+        cred = issue(setup, lifetime=10.0)
+        cred.verify(ca, clock.now())
+        with pytest.raises(CredentialExpiredError):
+            cred.verify(ca, clock.now() + 11.0)
+
     def test_not_yet_valid_rejected(self, setup):
         _, ca, *_ = setup
         cred = issue(setup)

@@ -92,6 +92,17 @@ class TestCertificates:
         with pytest.raises(CredentialExpiredError):
             ca.validate(cert)
 
+    def test_verified_certificate_still_expires(self, ca, keys, clock):
+        """The signed-body digest is memoized; the validity window is not."""
+        cert = ca.issue("alice", keys.public, lifetime=100.0)
+        ca.validate(cert)
+        cert.verify(ca.public_key, clock.now())
+        clock.advance(101.0)
+        with pytest.raises(CredentialExpiredError):
+            ca.validate(cert)
+        with pytest.raises(CredentialExpiredError):
+            cert.verify(ca.public_key, clock.now())
+
     def test_tampered_subject_rejected(self, ca, keys):
         cert = ca.issue("alice", keys.public)
         forged = Certificate(

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import hmac as stdlib_hmac
 
 import pytest
@@ -62,8 +63,32 @@ class TestKeystream:
     def test_empty_data(self):
         assert keystream_xor(KEY, NONCE, b"") == b""
 
+    def test_keystream_is_shake256_of_key_and_nonce(self):
+        # Known answer: XOR over zeros exposes the keystream itself.
+        stream = keystream_xor(bytes(32), bytes(NONCE_SIZE), bytes(40))
+        assert stream.hex() == (
+            "eda313c95591a023a5b37f361c07a5753a92d3d0427459f3"
+            "4c7895d727d62816b3aa2224eb9d8231"
+        )
+        assert stream == hashlib.shake_256(bytes(32 + NONCE_SIZE)).digest(40)
+
 
 class TestAead:
+    def test_known_answer(self):
+        """Fixed key, nonce, plaintext and associated data -> sealed bytes.
+
+        Pins the keystream, the key separation and the MAC framing: a
+        change to any of them changes this vector, and must be deliberate.
+        """
+        sealed = seal_payload(
+            KEY, bytes(range(NONCE_SIZE)), b"agent state: 42 quotes", b"chan-1"
+        )
+        assert sealed.hex() == (
+            "000102030405060708090a0b0c0d0e0f"
+            "b8ce9594f4f56a928439a4838cb30b94a1b4ada502d4"
+            "4adcad5506aee5fbeaba10130a749a8995e255fb04235072d9f6c65f85e87b17"
+        )
+
     def test_seal_open_roundtrip(self):
         sealed = seal_payload(KEY, NONCE, b"secret agent state", b"header")
         assert open_payload(KEY, sealed, b"header") == b"secret agent state"

@@ -1,7 +1,8 @@
-"""Canonical dict encoding is enforced on *decode*, not just encode.
+"""Canonical encoding is enforced on *decode*, not just encode.
 
-The encoder always sorts dict entries by their encoded key bytes; the
-decoder now refuses anything else.  This closes the duplicate-key
+The encoder always sorts dict entries by their encoded key bytes (and
+set items by their encoding) and writes minimal varints; the decoder
+refuses anything else.  This closes the duplicate-key
 ambiguity an attacker could otherwise smuggle past digest-based checks:
 two wire forms decoding to the same mapping would have different
 digests, and a duplicated key would let the last entry silently shadow
@@ -45,3 +46,43 @@ def test_digest_has_one_preimage_per_mapping():
     b = {"y": 2, "x": 1}
     assert canonical_digest(a) == canonical_digest(b)
     assert encode(a) == encode(b)
+
+
+@pytest.mark.parametrize(
+    "raw",
+    [
+        b"I\x80\x00",  # 0 with a redundant zero group
+        b"I\x82\x00",  # 1 the same way
+        b"S\x81\x00a",  # a one-byte string behind a padded length
+        b"L\x80\x00",  # an empty list behind a padded count
+    ],
+)
+def test_non_minimal_varints_are_refused(raw):
+    with pytest.raises(SerializationError, match="non-minimal varint"):
+        decode(raw)
+
+
+@pytest.mark.parametrize("tag", [b"E", b"R"])
+def test_unsorted_set_items_are_refused(tag):
+    assert decode(tag + b"\x02I\x02I\x04") == {1, 2}
+    with pytest.raises(SerializationError, match="non-canonical set"):
+        decode(tag + b"\x02I\x04I\x02")
+
+
+@pytest.mark.parametrize("tag", [b"E", b"R"])
+def test_duplicate_set_items_are_refused(tag):
+    with pytest.raises(SerializationError, match="non-canonical set"):
+        decode(tag + b"\x02I\x02I\x02")
+
+
+def test_every_accepted_encoding_re_encodes_bit_for_bit():
+    for raw in (b"I\x80\x01", b"E\x02I\x02I\x04", encode({3, "x", b"y"})):
+        assert encode(decode(raw)) == raw
+
+
+def test_unhashable_keys_and_items_are_serialization_errors():
+    # A list as a dict key or set item is well-formed bytes but no value.
+    with pytest.raises(SerializationError, match="unhashable"):
+        decode(b"M\x01L\x00N")
+    with pytest.raises(SerializationError, match="unhashable"):
+        decode(b"E\x01L\x00")
