@@ -107,17 +107,20 @@ def write_table(
     notes: str = "",
     *,
     seed: object = None,
+    headline: tuple[str, float, str] | None = None,
 ) -> str:
     """Format, print and persist one experiment table.
 
     Besides the human-readable ``results/<exp>.txt``, every table also
     lands as machine-readable ``results/BENCH_<exp>.json`` — headline
-    metric/value/unit (derived from the first numeric column of the
-    first data row; the header strings double as units here), the
-    driving ``seed``, and the full raw table for downstream tooling.
+    metric/value/unit, the driving ``seed``, and the full raw table for
+    downstream tooling.  ``headline=(metric, value, unit)`` names the
+    number that matters; without it the headline is derived from the
+    first numeric cell of the first data row (its header doubling as
+    the unit), which is only right when that row is the result.
     """
     raw_rows = [list(row) for row in rows]
-    _write_json(exp_id, title, headers, raw_rows, notes, seed)
+    _write_json(exp_id, title, headers, raw_rows, notes, seed, headline)
     rows = [[_fmt(cell) for cell in row] for row in raw_rows]
     widths = [
         max(len(headers[i]), *(len(r[i]) for r in rows)) if rows else len(headers[i])
@@ -144,9 +147,10 @@ def _write_json(
     raw_rows: list[list[object]],
     notes: str,
     seed: object,
+    headline: tuple[str, float, str] | None,
 ) -> None:
-    metric, value, unit = None, None, None
-    if raw_rows:
+    metric, value, unit = headline if headline is not None else (None, None, None)
+    if headline is None and raw_rows:
         first = raw_rows[0]
         for j, cell in enumerate(first):
             if isinstance(cell, bool) or not isinstance(cell, (int, float)):

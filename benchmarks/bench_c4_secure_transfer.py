@@ -58,8 +58,9 @@ def test_rsa_sign_vs_key_size(benchmark, bits):
     benchmark(keys.private.sign, digest)
 
 
-def _attack_world(adversary):
-    """One secure exchange with an adversary on the forward link."""
+def _secure_pair():
+    """alice -> bob over an established secure channel; bob's "data"
+    handler collects the bodies it is given."""
     from repro.crypto.cert import CertificateAuthority
     from repro.net.network import Network
     from repro.net.secure_channel import SecureHost
@@ -83,17 +84,35 @@ def _attack_world(adversary):
     fwd, _rev = network.connect("alice", "bob")
     delivered = []
     hosts["bob"].bind_app("data", lambda peer, body: delivered.append(body))
+    channels = []
+    SimThread(
+        kernel, lambda: channels.append(hosts["alice"].connect("bob")), "client"
+    ).start()
+    kernel.run()
+    return kernel, hosts["bob"], fwd, channels[0], delivered
 
-    def client():
-        channel = hosts["alice"].connect("bob")
-        if adversary is not None:
-            fwd.add_tap(adversary)  # attack the data plane only
-        channel.send("data", b"credit-card=4242424242424242")
-        channel.send("data", b"second message")
 
-    SimThread(kernel, client, "client").start()
+def _attack_world(adversary):
+    """One secure exchange with an adversary on the forward link."""
+    kernel, bob, fwd, channel, delivered = _secure_pair()
+    if adversary is not None:
+        fwd.add_tap(adversary)  # attack the data plane only
+    channel.send("data", b"credit-card=4242424242424242")
+    channel.send("data", b"second message")
     kernel.run(detect_deadlock=False)
-    return hosts["bob"], delivered
+    return bob, delivered
+
+
+def _secure_message_ns(body: bytes) -> float:
+    """Wall ns for one secure send: frame, seal, carry, open, dispatch."""
+    kernel, _bob, _fwd, channel, delivered = _secure_pair()
+
+    def one():
+        channel.send("data", body)
+        kernel.run()
+        delivered.clear()
+
+    return time_op(one)
 
 
 def test_table_c4(benchmark):
@@ -114,6 +133,8 @@ def test_table_c4(benchmark):
                      time_op(lambda: keys.private.sign(digest)), ""])
         rows.append(["RSA-512 verify",
                      time_op(lambda: keys.public.verify(digest, sig)), ""])
+        rows.append(["secure message, send to handler (2KB body)",
+                     _secure_message_ns(blob), ""])
         # attack detection
         bob, delivered = _attack_world(None)
         rows.append(["baseline: 2 messages sent", "", f"{len(delivered)} delivered"])
@@ -133,12 +154,14 @@ def test_table_c4(benchmark):
         return rows
 
     rows = benchmark.pedantic(build, rounds=1, iterations=1)
+    per_message = next(row for row in rows if row[0].startswith("secure message"))
     write_table(
         "C4",
         "secure transfer: crypto costs and attack detection (section 2)",
         ["operation / attack", "ns", "outcome"],
         rows,
         seed=1,
+        headline=(per_message[0], per_message[1], "ns"),
         notes=(
             "integrity: tampered frames never deliver; replay: duplicates"
             " rejected by sequence check; privacy: eavesdroppers see no"

@@ -119,6 +119,7 @@ def test_table_c7(benchmark, world):
         ["path", "ns/message", "x raw queue"],
         rows,
         seed=4000,
+        headline=(rows[-1][0], rows[-1][1], "ns/message"),
         notes=(
             "the security layer (policy-gated proxy + server-attached sender"
             " identity) costs a small multiple of a raw queue operation; the"

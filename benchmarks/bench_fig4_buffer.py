@@ -139,6 +139,7 @@ def test_table_f4(benchmark, world):
         ["configuration", "ns/item", "items/sec (wall)"],
         rows,
         seed=4000,
+        headline=(rows[-1][0], rows[-1][1], "ns/item"),
         notes=(
             "proxy overhead on a stateful resource is a constant few hundred"
             " ns; the full-stack row times bed.run() alone, after both agents"

@@ -119,6 +119,10 @@ def run_wave(self_heal: bool, crash: bool, seed: int) -> dict:
         "seed": seed,
         "wall": wall,
         "killed": victim.stats["agents_killed_crash"],
+        # Secure-channel handshakes run (initiator side), all servers.
+        "handshakes": sum(
+            s.secure.stats["channels_initiated"] for s in bed.servers
+        ),
         "rehomed": 0,
         "detect_s": float("nan"),
         "relaunch_s": float("nan"),
@@ -214,9 +218,10 @@ def test_baseline_crash_wave(benchmark):
 
 def test_table_r5(benchmark):
     def build():
-        rows = []
+        rows, completed = [], 0
         for seed in SEEDS:
             healed = run_wave(True, True, seed)
+            completed += healed["completed"]
             assert healed["completed"] >= TOURS * 0.95, healed
             assert healed["lost"] == 0, healed
             assert healed["doubled"] == 0, healed
@@ -230,6 +235,7 @@ def test_table_r5(benchmark):
                 healed["killed"], healed["rehomed"],
                 f"{healed['detect_s']:.1f}s",
                 f"{healed['relaunch_s'] * 1e3:.0f}ms",
+                healed["handshakes"],
                 "yes" if healed["residual"] == 0 else "NO",
             ])
             rows.append([
@@ -237,7 +243,7 @@ def test_table_r5(benchmark):
                 f"{base['completed']}/{TOURS}",
                 f"{base['completed'] / TOURS:.0%}",
                 base["lost"], base["doubled"],
-                base["killed"], 0, "-", "-",
+                base["killed"], 0, "-", "-", base["handshakes"],
                 "yes" if base["residual"] == 0 else "NO",
             ])
         calm = calm_overhead()
@@ -250,23 +256,24 @@ def test_table_r5(benchmark):
         rows.append([
             "calm overhead (R2 calm workload)", "",
             f"{calm['off_events']} ev off", f"{calm['on_events']} ev on",
-            "", "", "", "", "", f"{calm['overhead_pct']:+.1f}%", "",
+            "", "", "", "", "", f"{calm['overhead_pct']:+.1f}%", "", "",
         ])
         rows.append([
             "heartbeat mesh price (4 servers, fixed-rate)", "",
             "", "", "", "", "", "", "",
-            f"{calm['mesh_ms_per_beat']:.2f}ms/beat", "",
+            f"{calm['mesh_ms_per_beat']:.2f}ms/beat", "", "",
         ])
-        return rows
+        return rows, completed / (TOURS * len(SEEDS))
 
-    rows = benchmark.pedantic(build, rounds=1, iterations=1)
+    rows, completion = benchmark.pedantic(build, rounds=1, iterations=1)
     write_table(
         "R5",
         "self-healing: hard crash of 1-of-4 servers mid-tour",
         ["config", "seed", "tours", "rate", "lost", "doubled", "killed",
-         "rehomed", "detect", "relaunch", "conserved"],
+         "rehomed", "detect", "relaunch", "handshakes", "conserved"],
         rows,
         seed=list(SEEDS),
+        headline=("self-healing tour completion", completion, "ratio"),
         notes=(
             "24 three-hop tours; one worker fail-stops at t=6s and never"
             " returns.  'killed' counts residents that died with the"
@@ -276,7 +283,8 @@ def test_table_r5(benchmark):
             " running, doubled = agents completing twice — both must be"
             " zero, with the healed conservation residual 0.  detect ="
             " crash to confirmed-dead (lease/heartbeat walk), relaunch ="
-            " confirmed to the re-homed copy running.  The baseline rows"
+            " confirmed to the re-homed copy running, handshakes = secure"
+            " channels set up across the cluster.  The baseline rows"
             " run the identical wave without the plane.  The last rows"
             " price the calm path: plane on vs off on R2's calm"
             " workload, compared on kernel events processed — the"

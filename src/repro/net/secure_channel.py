@@ -12,7 +12,7 @@ Implements the section-2 requirements end-to-end:
   :class:`~repro.errors.IntegrityError` at the receiver and the message
   is discarded (and counted).
 * **Replay protection** — strictly increasing sequence numbers inside the
-  sealed envelope; duplicates are rejected.
+  sealed header; duplicates are rejected.
 
 Handshake transcript (all timing/bytes go over the plain transport, so
 adversaries can attack every flight)::
@@ -22,12 +22,35 @@ adversaries can attack every flight)::
     A -> B  sec.keyex   {channel, kem_ct, sig_A(nonce_A, nonce_B, kem_ct, A, B)}
     B -> A  (reply)     {confirm = HMAC(K, "confirm" || nonce_A)}
 
-with ``K = SHA256(kem_shared || nonce_A || nonce_B)``.
+with ``K = SHA256(kem_shared || nonce_A || nonce_B)``.  The responder
+keeps at most one half-done handshake per initiator: a new hello from a
+peer replaces that peer's older one, whose keyex is then refused.
+
+**Single-flight connect.**  :meth:`SecureHost.connect` runs at most one
+handshake per peer at a time.  The first caller runs it; callers that
+arrive while it is in flight wait for it, each bounded by its own
+``timeout``, and get the same channel or the same failure.  A leader
+killed mid-handshake fails its waiters instead of stranding them.
+
+**Data frames.**  Handshake flights use the canonical codec (they carry
+certificates); a data frame is one fixed binary layout::
+
+    clear:   u16 len(channel_id) | channel_id | sealed
+    sealed:  AEAD(plaintext, associated_data=channel_id)
+    plaintext:
+             u64 seq | u8 flags | u16 len(app_kind) | u16 len(corr)
+             | app_kind | corr | body
+
+All integers are big-endian.  ``flags`` bit 0 marks a reply and bit 1 a
+:meth:`SecureChannel.send_many` batch, whose body is ``u32 count`` then
+``count`` times ``u32 len | bytes``.  ``app_kind`` and ``corr`` travel
+sealed; only the channel id, which routes the frame, is in clear.
 """
 
 from __future__ import annotations
 
 import random
+import struct
 from typing import Callable
 
 from repro.crypto.cert import Certificate
@@ -48,11 +71,12 @@ from repro.net.message import Message
 from repro.net.transport import Endpoint
 from repro.obs import runtime as _obs
 from repro.sim.monitor import Counter
+from repro.sim.sync import SimEvent
 from repro.util.clock import Clock
 from repro.util.ids import IdGenerator
 from repro.util.serialization import canonical_digest, decode, encode
 
-__all__ = ["SecureHost", "SecureChannel"]
+__all__ = ["SecureHost", "SecureChannel", "frame"]
 
 AppHandler = Callable[[str, bytes], "bytes | None"]
 # app handler signature: (peer_name, body) -> optional reply body
@@ -60,6 +84,60 @@ AppHandler = Callable[[str, bytes], "bytes | None"]
 _HELLO = "sec.hello"
 _KEYEX = "sec.keyex"
 _DATA = "sec.data"
+
+_PREFIX = struct.Struct(">H")  # len(channel_id)
+_HEADER = struct.Struct(">QBHH")  # seq, flags, len(app_kind), len(corr)
+_U32 = struct.Struct(">I")  # batch count and per-body length
+_REPLY = 0x01
+_BATCH = 0x02
+
+
+def frame(channel_id: str, sealed: bytes) -> bytes:
+    """The wire form of a data frame: the routing prefix, then ``sealed``."""
+    cid = channel_id.encode()
+    return _PREFIX.pack(len(cid)) + cid + sealed
+
+
+def _unframe(payload: bytes) -> tuple[str, bytes]:
+    """``frame`` inverted; ``struct.error`` or ``ValueError`` if truncated."""
+    end = _PREFIX.size + _PREFIX.unpack_from(payload)[0]
+    if end > len(payload):
+        raise ValueError("channel id runs past the frame")
+    return payload[_PREFIX.size:end].decode(), payload[end:]
+
+
+def _header(seq: int, flags: int, app_kind: str, corr: str) -> bytes:
+    kind, cid = app_kind.encode(), corr.encode()
+    return _HEADER.pack(seq, flags, len(kind), len(cid)) + kind + cid
+
+
+def _parse(plaintext: bytes) -> tuple[int, int, str, str, bytes | list[bytes]]:
+    """Opened plaintext -> (seq, flags, app_kind, corr, body or batch).
+
+    Strict: a short header, unknown flags, lengths past the end and batch
+    trailing bytes raise ``ValueError`` or ``struct.error``, before
+    anything is dispatched.
+    """
+    seq, flags, kind_len, corr_len = _HEADER.unpack_from(plaintext)
+    if flags & ~(_REPLY | _BATCH):
+        raise ValueError(f"unknown frame flags {flags:#x}")
+    at = _HEADER.size + kind_len
+    corr_end = at + corr_len
+    if corr_end > len(plaintext):
+        raise ValueError("header runs past the frame")
+    app_kind = plaintext[_HEADER.size:at].decode()
+    corr = plaintext[at:corr_end].decode()
+    if not flags & _BATCH:
+        return seq, flags, app_kind, corr, plaintext[corr_end:]
+    (count,), at = _U32.unpack_from(plaintext, corr_end), corr_end + _U32.size
+    bodies = []
+    for _ in range(count):
+        (size,), at = _U32.unpack_from(plaintext, at), at + _U32.size
+        bodies.append(plaintext[at:at + size])
+        at += size
+    if at != len(plaintext):  # a body ran past the end, or bytes trail
+        raise ValueError("batch does not fill the frame")
+    return seq, flags, app_kind, corr, bodies
 
 
 class SecureChannel:
@@ -75,38 +153,29 @@ class SecureChannel:
         self.host = host
         self.channel_id = channel_id
         self.peer = peer  # authenticated peer principal name
-        self._key = session_key
         # Enc/MAC subkeys and the HMAC key schedule are derived once per
         # session here, not once per message.
         self._seal = SealContext(session_key)
         self._aad = channel_id.encode()
+        self._prefix = frame(channel_id, b"")
         self._send_seq = 0
         self._recv_seq = 0
-        self._pending: dict[str, object] = {}
+        self._pending: dict[str, SimEvent] = {}
         self._corr = IdGenerator(f"scorr:{channel_id}")
 
     # -- sending ------------------------------------------------------------
 
-    def _envelope(
-        self, app_kind: str, body: bytes, corr: str, is_reply: bool
-    ) -> bytes:
+    def _send(self, flags: int, app_kind: str, corr: str, body: bytes) -> None:
+        """Seal one frame (header + body) and put it on the wire."""
         self._send_seq += 1
-        plaintext = encode(
-            {
-                "seq": self._send_seq,
-                "app_kind": app_kind,
-                "corr": corr,
-                "is_reply": is_reply,
-                "body": body,
-            }
-        )
+        plaintext = _header(self._send_seq, flags, app_kind, corr) + body
         nonce = self.host.rng.randbytes(NONCE_SIZE)
-        return self._seal.seal(nonce, plaintext, associated_data=self._aad)
+        sealed = self._seal.seal(nonce, plaintext, associated_data=self._aad)
+        self.host.endpoint.send(self.peer, _DATA, self._prefix + sealed)
 
     def send(self, app_kind: str, body: bytes) -> None:
         """One-way secure message."""
-        sealed = self._envelope(app_kind, body, corr="", is_reply=False)
-        self.host.endpoint.send(self.peer_node(), _DATA, self._tag(sealed))
+        self._send(0, app_kind, "", body)
 
     def send_many(self, app_kind: str, bodies: list[bytes]) -> None:
         """One-way secure *batch*: N messages, one sealed frame.
@@ -114,7 +183,7 @@ class SecureChannel:
         The transfer path often emits bursts of small messages to the
         same peer (state deltas, report fragments); sealing each one
         separately pays a nonce, a keystream tail block, and a MAC per
-        message.  A batch amortizes all three: one envelope, one
+        message.  A batch amortizes all three: one header, one
         sequence number, one MAC.  The receiver unpacks the batch and
         dispatches each body to the ``app_kind`` handler in order, so
         handler semantics match N individual :meth:`send` calls.
@@ -123,25 +192,14 @@ class SecureChannel:
         """
         if not bodies:
             return
-        self._send_seq += 1
-        plaintext = encode(
-            {
-                "seq": self._send_seq,
-                "app_kind": app_kind,
-                "corr": "",
-                "is_reply": False,
-                "batch": list(bodies),
-            }
-        )
-        nonce = self.host.rng.randbytes(NONCE_SIZE)
-        sealed = self._seal.seal(nonce, plaintext, associated_data=self._aad)
-        self.host.endpoint.send(self.peer_node(), _DATA, self._tag(sealed))
+        parts = [_U32.pack(len(bodies))]
+        for body in bodies:
+            parts += (_U32.pack(len(body)), body)
+        self._send(_BATCH, app_kind, "", b"".join(parts))
         self.host.stats.add("batches_sent")
 
     def call(self, app_kind: str, body: bytes, timeout: float | None = None) -> bytes:
         """Blocking secure request/response (from a simulated thread)."""
-        from repro.sim.sync import SimEvent
-
         with _obs.span("secure.call", peer=self.peer, kind=app_kind):
             corr = self._corr.next()
             event = SimEvent(self.host.kernel)
@@ -150,12 +208,7 @@ class SecureChannel:
             try:
                 if timeout is not None:
                     timer = self.host.kernel.schedule(timeout, event.set, None)
-                sealed = self._envelope(
-                    app_kind, body, corr=corr, is_reply=False
-                )
-                self.host.endpoint.send(
-                    self.peer_node(), _DATA, self._tag(sealed)
-                )
+                self._send(0, app_kind, corr, body)
                 result = event.wait()
             finally:
                 # Cancel on every exit so abandoned calls leave no stale timers.
@@ -168,50 +221,37 @@ class SecureChannel:
                 )
             return result
 
-    def _reply(self, app_kind: str, body: bytes, corr: str) -> None:
-        sealed = self._envelope(app_kind, body, corr=corr, is_reply=True)
-        self.host.endpoint.send(self.peer_node(), _DATA, self._tag(sealed))
-
-    def _tag(self, sealed: bytes) -> bytes:
-        """Prefix the channel id so the receiving host can route it."""
-        return encode({"channel": self.channel_id, "sealed": sealed})
-
-    def peer_node(self) -> str:
-        return self.peer
-
     # -- receiving ----------------------------------------------------------
 
     def _accept(self, sealed: bytes) -> None:
         plaintext = self._seal.open(
             sealed, associated_data=self._aad
         )  # raises IntegrityError on tampering
-        envelope = decode(plaintext)
-        seq = envelope["seq"]
+        seq, flags, app_kind, corr, body = _parse(plaintext)
         if seq <= self._recv_seq:
             raise ReplayError(
                 f"channel {self.channel_id}: sequence {seq} replayed"
                 f" (last accepted {self._recv_seq})"
             )
         self._recv_seq = seq
-        if envelope["is_reply"]:
-            event = self._pending.get(envelope["corr"])
+        if flags & _REPLY:
+            event = self._pending.get(corr)
             if event is not None:
-                event.set(envelope["body"])
+                event.set(body)
             return
-        handler = self.host.app_handler(envelope["app_kind"])
+        handler = self.host.app_handler(app_kind)
         if handler is None:
             self.host.stats.add("unhandled_app_kind")
             return
-        batch = envelope.get("batch")
-        if batch is not None:
+        if flags & _BATCH:
             # A send_many frame: each body dispatches as if sent alone.
             self.host.stats.add("batches_received")
-            for body in batch:
-                handler(self.peer, body)
+            for item in body:
+                handler(self.peer, item)
             return
-        result = handler(self.peer, envelope["body"])
-        if result is not None and envelope["corr"]:
-            self._reply(envelope["app_kind"], result, envelope["corr"])
+        result = handler(self.peer, body)
+        if result is not None and corr:
+            self._send(_REPLY, app_kind, corr, result)
 
 
 class SecureHost:
@@ -247,8 +287,11 @@ class SecureHost:
         self.stats = Counter()
         self._channels: dict[str, SecureChannel] = {}
         self._by_peer: dict[str, SecureChannel] = {}
-        # nonce_a -> (validated initiator certificate, nonce_b)
-        self._pending_hello: dict[bytes, tuple[Certificate, bytes]] = {}
+        # initiator subject -> (validated certificate, nonce_a, nonce_b);
+        # a newer hello from the same peer replaces the older one.
+        self._pending_hello: dict[str, tuple[Certificate, bytes, bytes]] = {}
+        # peer -> events of the callers waiting on the in-flight handshake
+        self._connecting: dict[str, list[SimEvent]] = {}
         self._app_handlers: dict[str, AppHandler] = {}
         self._channel_ids = IdGenerator(f"chan:{name}")
         endpoint.bind(_HELLO, self._on_hello)
@@ -280,7 +323,10 @@ class SecureHost:
         The next :meth:`connect` runs a fresh handshake.  Used by retry
         loops when a call timed out: the peer may have crashed and
         restarted, in which case its end of the old channel no longer
-        exists and every frame we send on it is discarded unread.
+        exists and every frame we send on it is discarded unread.  A
+        handshake still in flight is left alone: it is bounded by its
+        leader's timeout, and a caller that drops after its own wait timed
+        out would otherwise start a second handshake beside it.
         """
         channel = self._by_peer.pop(peer, None)
         if channel is None:
@@ -298,6 +344,7 @@ class SecureHost:
         self._channels.clear()
         self._by_peer.clear()
         self._pending_hello.clear()
+        self._connecting.clear()
         self.stats.add("channel_resets")
 
     # -- initiator side ------------------------------------------------------------
@@ -305,12 +352,61 @@ class SecureHost:
     def connect(self, peer: str, timeout: float | None = 30.0) -> SecureChannel:
         """Establish (or reuse) an authenticated channel to ``peer``.
 
-        Must run in a simulated thread.  Raises
-        :class:`AuthenticationError` if the peer cannot prove its identity.
+        Must run in a simulated thread.  Single-flight: while a handshake
+        to ``peer`` is in flight, later callers wait for it (each for at
+        most its own ``timeout``) and share its channel or its failure.
+        Raises :class:`AuthenticationError` if the peer cannot prove its
+        identity, :class:`NetworkError` on a timeout.
         """
         existing = self._by_peer.get(peer)
         if existing is not None:
             return existing
+        waiters = self._connecting.get(peer)
+        if waiters is not None:
+            return self._join_handshake(waiters, peer, timeout)
+        waiters = self._connecting[peer] = []
+        # Stays the outcome only if the leader dies without an exception
+        # of its own (a kill): its waiters fail rather than hang.
+        outcome: SecureChannel | BaseException = NetworkError(
+            f"{self.name}: handshake to {peer!r} abandoned"
+        )
+        try:
+            outcome = self._handshake(peer, timeout)
+            return outcome
+        except Exception as exc:
+            outcome = exc
+            raise
+        finally:
+            if self._connecting.get(peer) is waiters:
+                del self._connecting[peer]
+            for event in waiters:
+                event.set(outcome)
+
+    def _join_handshake(
+        self, waiters: list[SimEvent], peer: str, timeout: float | None
+    ) -> SecureChannel:
+        self.stats.add("connects_joined")
+        event = SimEvent(self.kernel)
+        waiters.append(event)
+        timer = (
+            None if timeout is None
+            else self.kernel.schedule(timeout, event.set, None)
+        )
+        try:
+            outcome = event.wait()
+        finally:
+            if timer is not None:
+                timer.cancel()
+        if outcome is None:
+            raise NetworkError(
+                f"{self.name}: connect to {peer!r} timed out after {timeout}s"
+            )
+        if isinstance(outcome, BaseException):
+            raise outcome
+        return outcome
+
+    def _handshake(self, peer: str, timeout: float | None) -> SecureChannel:
+        """The initiator's side of the four-flight handshake."""
         nonce_a = self.rng.randbytes(NONCE_SIZE)
         hello = encode({"cert": self.certificate, "nonce": nonce_a})
         raw = self.endpoint.call(peer, _HELLO, hello, timeout=timeout)
@@ -387,7 +483,7 @@ class SecureHost:
             self.stats.add("handshake_malformed")
             return encode({"error": "malformed hello"})
         nonce_b = self.rng.randbytes(NONCE_SIZE)
-        self._pending_hello[nonce_a] = (peer_cert, nonce_b)
+        self._pending_hello[peer_cert.subject] = (peer_cert, nonce_a, nonce_b)
         transcript = canonical_digest(
             {"na": nonce_a, "nb": nonce_b, "a": peer_cert.subject, "b": self.name}
         )
@@ -403,12 +499,11 @@ class SecureHost:
         try:
             keyex = decode(message.payload)
             nonce_a = keyex["nonce_a"]
-            pending = self._pending_hello.pop(nonce_a, None)
-            if pending is None:
+            pending = self._pending_hello.get(message.src)
+            if pending is None or pending[1] != nonce_a:
                 raise AuthenticationError("no matching hello")
-            peer_cert, nonce_b = pending
-            if peer_cert.subject != message.src:
-                raise AuthenticationError("keyex source mismatch")
+            del self._pending_hello[message.src]
+            peer_cert, _, nonce_b = pending
             kem_ct = keyex["kem"]
             transcript = canonical_digest(
                 {
@@ -439,12 +534,12 @@ class SecureHost:
 
     def _on_data(self, message: Message) -> None:
         try:
-            frame = decode(message.payload)
-            channel = self._channels.get(frame["channel"])
+            channel_id, sealed = _unframe(message.payload)
+            channel = self._channels.get(channel_id)
             if channel is None:
                 self.stats.add("unknown_channel")
                 return
-            channel._accept(frame["sealed"])
+            channel._accept(sealed)
         except IntegrityError:
             self.stats.add("rejected_tampered")
         except ReplayError:

@@ -11,6 +11,8 @@ import pytest
 from repro.crypto.cert import CertificateAuthority
 from repro.errors import AuthenticationError
 from repro.net.adversary import Eavesdropper, Replayer, Tamperer
+from repro.net.message import Message
+from repro.net.secure_channel import frame
 from repro.sim.threads import SimThread
 from repro.util.rng import make_rng
 
@@ -189,14 +191,12 @@ class TestDataPlane:
 
     def test_unknown_channel_counted(self, world):
         host_a, host_b, *_ = secure_pair(world)
-        from repro.util.serialization import encode
-
         world.network.send(
-            __import__("repro.net.message", fromlist=["Message"]).Message(
+            Message(
                 src="alice",
                 dst="bob",
                 kind="sec.data",
-                payload=encode({"channel": "chan:alice-999", "sealed": b"x" * 64}),
+                payload=frame("chan:alice-999", b"x" * 64),
             )
         )
         world.run()

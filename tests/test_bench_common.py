@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import json
 import pathlib
 import sys
 
@@ -46,6 +47,26 @@ class TestWriteTable:
         assert "0.2500" in text  # small-float formatting
         assert "a note" in text
         assert "alpha" in capsys.readouterr().out
+
+    def test_headline_derived_from_first_numeric_cell(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(_common, "RESULTS_DIR", tmp_path)
+        _common.write_table("T2", "derived", ["name", "ns"], [["alpha", 7.5]])
+        payload = json.loads((tmp_path / "BENCH_T2.json").read_text())
+        assert (payload["metric"], payload["value"], payload["unit"]) == (
+            "alpha: ns", 7.5, "ns"
+        )
+
+    def test_explicit_headline_wins(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(_common, "RESULTS_DIR", tmp_path)
+        _common.write_table(
+            "T3", "explicit", ["config", "seed", "rate"],
+            [["run", 7501, 0.5], ["full stack", 7502, 0.9]],
+            headline=("full-stack rate", 0.9, "ratio"),
+        )
+        payload = json.loads((tmp_path / "BENCH_T3.json").read_text())
+        assert (payload["metric"], payload["value"], payload["unit"]) == (
+            "full-stack rate", 0.9, "ratio"
+        )
 
     def test_empty_rows(self, tmp_path, monkeypatch):
         monkeypatch.setattr(_common, "RESULTS_DIR", tmp_path)
