@@ -15,11 +15,40 @@ import threading
 from dataclasses import dataclass, replace
 from typing import Any
 
-from repro.errors import DuplicateNameError, NamingError, UnknownNameError
+from repro.errors import (
+    DuplicateNameError,
+    NamingError,
+    ReproError,
+    UnknownNameError,
+)
 from repro.naming.urn import URN
 from repro.util.ids import IdGenerator
+from repro.util.serialization import encode
 
-__all__ = ["NameRecord", "NameService"]
+__all__ = ["NameRecord", "NameService", "error_reply", "raise_reply_error"]
+
+# The naming error protocol shared by every name server and its clients:
+# a failed operation replies ``{"error": message, "kind": kind}``.
+# Most specific first: the first class ``exc`` is an instance of names it.
+_ERROR_KINDS = {
+    "unknown": UnknownNameError,
+    "duplicate": DuplicateNameError,
+    "naming": NamingError,
+}
+
+
+def error_reply(exc: ReproError) -> bytes:
+    """The encoded reply for a naming operation that raised ``exc``."""
+    kind = next(
+        (k for k, cls in _ERROR_KINDS.items() if isinstance(exc, cls)), "naming"
+    )
+    return encode({"error": str(exc), "kind": kind})
+
+
+def raise_reply_error(reply: dict) -> None:
+    """Raise the naming error a decoded reply carries, if it carries one."""
+    if "error" in reply:
+        raise _ERROR_KINDS.get(reply.get("kind"), NamingError)(reply["error"])
 
 
 @dataclass(frozen=True, slots=True)

@@ -19,14 +19,13 @@ from __future__ import annotations
 
 from typing import Any, Callable
 
-from repro.errors import (
-    DuplicateNameError,
-    NamingError,
-    NetworkError,
-    ReproError,
-    UnknownNameError,
+from repro.errors import NamingError, NetworkError, ReproError
+from repro.naming.registry import (
+    NameRecord,
+    NameService,
+    error_reply,
+    raise_reply_error,
 )
-from repro.naming.registry import NameRecord, NameService
 from repro.naming.urn import URN
 from repro.net.secure_channel import SecureHost
 from repro.obs import runtime as _obs
@@ -39,12 +38,6 @@ from repro.util.serialization import decode, encode
 __all__ = ["NameServiceHost", "RemoteNameService", "fire_and_forget_relocate"]
 
 _APP_KIND = "ns.op"
-
-_ERROR_KINDS = {
-    "unknown": UnknownNameError,
-    "duplicate": DuplicateNameError,
-    "naming": NamingError,
-}
 
 
 def fire_and_forget_relocate(
@@ -126,15 +119,9 @@ class NameServiceHost:
             if op == "unregister":
                 self.service.unregister(request["name"], request["token"])
                 return encode({"ok": True})
-            return encode({"error": f"unknown op {op!r}", "kind": "naming"})
-        except UnknownNameError as exc:
-            return encode({"error": str(exc), "kind": "unknown"})
-        except DuplicateNameError as exc:
-            return encode({"error": str(exc), "kind": "duplicate"})
-        except NamingError as exc:
-            return encode({"error": str(exc), "kind": "naming"})
+            raise NamingError(f"unknown op {op!r}")
         except ReproError as exc:
-            return encode({"error": str(exc), "kind": "naming"})
+            return error_reply(exc)
 
 
 class RemoteNameService:
@@ -162,11 +149,10 @@ class RemoteNameService:
     # -- plumbing ------------------------------------------------------------
 
     def _call(self, request: dict) -> Any:
-        channel = self._host.connect(self._registry_node)
-        reply = decode(channel.call(_APP_KIND, encode(request),
-                                    timeout=self._timeout))
-        if "error" in reply:
-            raise _ERROR_KINDS.get(reply.get("kind"), NamingError)(reply["error"])
+        reply = decode(self._host.call(
+            self._registry_node, _APP_KIND, encode(request), self._timeout
+        ))
+        raise_reply_error(reply)
         return reply["ok"]
 
     def _call_idempotent(self, request: dict) -> Any:
@@ -175,8 +161,6 @@ class RemoteNameService:
 
         def note_retry(attempt_no: int, exc: BaseException) -> None:
             self.stats.add("retries")
-            # The registry may have restarted; force a fresh handshake.
-            self._host.drop_channel(self._registry_node)
 
         return call_with_retries(
             attempt,

@@ -62,7 +62,7 @@ from repro.errors import (
     SimulationError,
     UnknownNameError,
 )
-from repro.naming.registry import NameRecord
+from repro.naming.registry import NameRecord, error_reply, raise_reply_error
 from repro.naming.shard import HashRing, bucket_of, stable_hash
 from repro.naming.urn import URN
 from repro.net.secure_channel import SecureHost
@@ -93,17 +93,6 @@ SHARD_APP_KIND = "ns.shard"
 # Anti-entropy digests split a shard's names into this many buckets.
 _N_BUCKETS = 16
 _HINT_CAPACITY = 1024
-
-_ERROR_KINDS = {
-    "unknown": UnknownNameError,
-    "duplicate": DuplicateNameError,
-    "naming": NamingError,
-}
-
-
-def _raise_reply_error(reply: dict) -> None:
-    raise _ERROR_KINDS.get(reply.get("kind"), NamingError)(reply["error"])
-
 
 # ---------------------------------------------------------------------------
 # Versioned records
@@ -408,14 +397,8 @@ class ReplicaNameHost:
                 self._store_hint(request.get("target"), self._record_arg(request))
                 return encode({"ok": True})
             raise NamingError(f"unknown shard op {op!r}")
-        except UnknownNameError as exc:
-            return encode({"error": str(exc), "kind": "unknown"})
-        except DuplicateNameError as exc:
-            return encode({"error": str(exc), "kind": "duplicate"})
-        except NamingError as exc:
-            return encode({"error": str(exc), "kind": "naming"})
         except ReproError as exc:
-            return encode({"error": str(exc), "kind": "naming"})
+            return error_reply(exc)
 
     def _record_arg(self, request: dict) -> VersionedRecord:
         record = request.get("record")
@@ -473,15 +456,12 @@ class ReplicaNameHost:
                 records=len(entries),
             ):
                 try:
-                    channel = self.secure.connect(target, timeout=self._timeout)
                     for key, record in entries:
-                        reply = decode(
-                            channel.call(
-                                SHARD_APP_KIND,
-                                encode({"op": "repair", "record": record}),
-                                timeout=self._timeout,
-                            )
-                        )
+                        reply = decode(self.secure.call(
+                            target, SHARD_APP_KIND,
+                            encode({"op": "repair", "record": record}),
+                            self._timeout,
+                        ))
                         # An error reply means the peer holds something
                         # newer — the hint is obsolete either way.
                         self._hints.pop(key, None)
@@ -491,7 +471,6 @@ class ReplicaNameHost:
                             self.stats.add("hints_obsolete")
                 except ReproError:
                     self.stats.add("hint_delivery_failed")
-                    self.secure.drop_channel(target)
 
     # -- anti-entropy --------------------------------------------------------
 
@@ -524,13 +503,9 @@ class ReplicaNameHost:
             except ReproError:
                 summary["peers_unreachable"] += 1
                 self.stats.add("sweep_peer_unreachable")
-                self.secure.drop_channel(peer)
 
     def _reconcile(self, peer: str, summary: dict[str, int]) -> None:
-        channel = self.secure.connect(peer, timeout=self._timeout)
-        theirs = self._peer_call(
-            channel, {"op": "digest", "buckets": _N_BUCKETS}
-        )
+        theirs = self._peer_call(peer, {"op": "digest", "buckets": _N_BUCKETS})
         mine = self.store.digests(_N_BUCKETS)
         if not isinstance(theirs, list) or len(theirs) != len(mine):
             raise NamingError(f"digest shape mismatch from {peer}")
@@ -538,8 +513,7 @@ class ReplicaNameHost:
             if mine[bucket] == theirs[bucket]:
                 continue
             pulled = self._peer_call(
-                channel,
-                {"op": "pull", "bucket": bucket, "buckets": _N_BUCKETS},
+                peer, {"op": "pull", "bucket": bucket, "buckets": _N_BUCKETS}
             )
             seen: dict[URN, tuple[int, int, float, str]] = {}
             for record in pulled:
@@ -552,16 +526,15 @@ class ReplicaNameHost:
             for record in self.store.bucket_records(bucket, _N_BUCKETS):
                 known = seen.get(record.name)
                 if known is None or known < record.version:
-                    self._peer_call(channel, {"op": "repair", "record": record})
+                    self._peer_call(peer, {"op": "repair", "record": record})
                     summary["records_out"] += 1
                     self.stats.add("repair_records_out")
 
-    def _peer_call(self, channel: Any, request: dict) -> Any:
-        reply = decode(
-            channel.call(SHARD_APP_KIND, encode(request), timeout=self._timeout)
-        )
-        if "error" in reply:
-            _raise_reply_error(reply)
+    def _peer_call(self, peer: str, request: dict) -> Any:
+        reply = decode(self.secure.call(
+            peer, SHARD_APP_KIND, encode(request), self._timeout
+        ))
+        raise_reply_error(reply)
         return reply["ok"]
 
     # -- periodic sweeps -----------------------------------------------------
@@ -937,23 +910,16 @@ class ReplicatedNameClient:
             targets=",".join(missing), urn=str(name),
         ):
             try:
-                channel = self._host.connect(via, timeout=self._timeout)
                 for target in missing:
-                    reply = decode(
-                        channel.call(
-                            SHARD_APP_KIND,
-                            encode({
-                                "op": "hint", "target": target,
-                                "record": record,
-                            }),
-                            timeout=self._timeout,
-                        )
-                    )
+                    reply = decode(self._host.call(
+                        via, SHARD_APP_KIND,
+                        encode({"op": "hint", "target": target, "record": record}),
+                        self._timeout,
+                    ))
                     if "error" not in reply:
                         self.stats.add("hints_sent")
             except NetworkError:
                 self.stats.add("hint_send_failed")
-                self._host.drop_channel(via)
 
     def _read_repair(
         self,
@@ -966,15 +932,12 @@ class ReplicatedNameClient:
             if record is not None and record.version >= best.version:
                 continue
             try:
-                channel = self._host.connect(node, timeout=self._timeout)
-                channel.call(
-                    SHARD_APP_KIND,
-                    encode({"op": "put", "record": best}),
-                    timeout=self._timeout,
+                self._host.call(
+                    node, SHARD_APP_KIND, encode({"op": "put", "record": best}),
+                    self._timeout,
                 )
             except NetworkError:
                 self.stats.add("read_repair_failed")
-                self._host.drop_channel(node)
                 continue
             self.stats.add("read_repairs")
             if _obs.TRACING:
@@ -1017,23 +980,20 @@ class ReplicatedNameClient:
                     self.stats.add("breaker_skips")
                     continue
                 try:
-                    channel = self._host.connect(node, timeout=self._timeout)
-                    raw = channel.call(
-                        SHARD_APP_KIND, payload, timeout=self._timeout
+                    raw = self._host.call(
+                        node, SHARD_APP_KIND, payload, self._timeout
                     )
                 except NetworkError:
                     breaker.record_failure()
                     self.stats.add("replica_failures")
-                    self._host.drop_channel(node)
                     continue
                 breaker.record_success()
                 reply = decode(raw)
-                if "error" in reply:
-                    replies[node] = _ERROR_KINDS.get(
-                        reply.get("kind"), NamingError
-                    )(reply["error"])
-                else:
+                try:
+                    raise_reply_error(reply)
                     replies[node] = reply["ok"]
+                except NamingError as exc:
+                    replies[node] = exc
             if len(replies) >= want:
                 break
         return replies

@@ -523,8 +523,9 @@ class FaultInjector:
 
             def offer() -> None:
                 try:
-                    channel = server.secure.connect(target)
-                    reply = decode(channel.call("atp.transfer", encode(fresh)))
+                    reply = decode(server.secure.call(
+                        target, "atp.transfer", encode(fresh)
+                    ))
                     self._note(
                         "replay_offered",
                         f"{getattr(server, 'name', server)}->{target} "

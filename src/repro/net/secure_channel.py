@@ -32,6 +32,16 @@ arrive while it is in flight wait for it, each bounded by its own
 ``timeout``, and get the same channel or the same failure.  A leader
 killed mid-handshake fails its waiters instead of stranding them.
 
+**Reaching a peer.**  :meth:`SecureHost.call` (request/response) and
+:meth:`SecureHost.send` (one-way) are the one way to exchange with a
+peer: each connects (or reuses the cached channel), runs the exchange
+under one ``timeout`` that bounds the handshake and the reply alike,
+and on any :class:`~repro.errors.ReproError` forgets the cached channel
+before it re-raises.  A peer that crashed and restarted has lost its
+end of every channel, so a failed exchange invalidates the channel and
+the next one handshakes afresh; callers never evict channels
+themselves.
+
 **Data frames.**  Handshake flights use the canonical codec (they carry
 certificates); a data frame is one fixed binary layout::
 
@@ -65,6 +75,7 @@ from repro.errors import (
     IntegrityError,
     NetworkError,
     ReplayError,
+    ReproError,
     SecurityException,
 )
 from repro.net.message import Message
@@ -204,17 +215,11 @@ class SecureChannel:
             corr = self._corr.next()
             event = SimEvent(self.host.kernel)
             self._pending[corr] = event
-            timer = None
             try:
-                if timeout is not None:
-                    timer = self.host.kernel.schedule(timeout, event.set, None)
                 self._send(0, app_kind, corr, body)
-                result = event.wait()
+                result = event.wait(timeout)
             finally:
-                # Cancel on every exit so abandoned calls leave no stale timers.
                 self._pending.pop(corr, None)
-                if timer is not None:
-                    timer.cancel()
             if result is None:
                 raise NetworkError(
                     f"secure call {app_kind!r} to {self.peer!r} timed out"
@@ -258,8 +263,8 @@ class SecureHost:
     """The per-node secure-channel service.
 
     Owns the node's key pair and certificate, runs the responder side of
-    the handshake, routes sealed traffic to channels, and exposes
-    ``connect`` for the initiator side.
+    the handshake, routes sealed traffic to channels, and reaches peers
+    through :meth:`call` and :meth:`send` (``connect`` underneath).
     """
 
     def __init__(
@@ -317,23 +322,52 @@ class SecureHost:
         """Established channels currently held (telemetry gauge)."""
         return len(self._channels)
 
-    def drop_channel(self, peer: str) -> bool:
+    def call(
+        self, peer: str, app_kind: str, body: bytes, timeout: float | None = 30.0
+    ) -> bytes:
+        """One secure request/response with ``peer``; returns the reply.
+
+        ``timeout`` bounds the handshake and the reply wait alike; any
+        :class:`ReproError` forgets the cached channel before it
+        propagates.  Must run in a simulated thread.
+        """
+        try:
+            return self.connect(peer, timeout).call(app_kind, body, timeout)
+        except ReproError:
+            self._drop_channel(peer)
+            raise
+
+    def send(
+        self, peer: str, app_kind: str, bodies: list[bytes],
+        timeout: float | None = 30.0,
+    ) -> None:
+        """One-way secure ``bodies`` to ``peer``: one body goes as a plain
+        frame, several as one :meth:`SecureChannel.send_many` batch.
+
+        ``timeout`` bounds the handshake; failure handling is that of
+        :meth:`call`.
+        """
+        try:
+            channel = self.connect(peer, timeout)
+            if len(bodies) == 1:
+                channel.send(app_kind, bodies[0])
+            else:
+                channel.send_many(app_kind, bodies)
+        except ReproError:
+            self._drop_channel(peer)
+            raise
+
+    def _drop_channel(self, peer: str) -> None:
         """Forget the cached channel to ``peer`` (if any).
 
-        The next :meth:`connect` runs a fresh handshake.  Used by retry
-        loops when a call timed out: the peer may have crashed and
-        restarted, in which case its end of the old channel no longer
-        exists and every frame we send on it is discarded unread.  A
-        handshake still in flight is left alone: it is bounded by its
-        leader's timeout, and a caller that drops after its own wait timed
-        out would otherwise start a second handshake beside it.
+        A handshake still in flight is left alone: it is bounded by its
+        leader's timeout, and a caller that drops after its own wait
+        timed out would otherwise start a second handshake beside it.
         """
         channel = self._by_peer.pop(peer, None)
-        if channel is None:
-            return False
-        self._channels.pop(channel.channel_id, None)
-        self.stats.add("channels_dropped")
-        return True
+        if channel is not None:
+            self._channels.pop(channel.channel_id, None)
+            self.stats.add("channels_dropped")
 
     def reset_channels(self) -> None:
         """Forget *all* channel state (simulates a process crash).
@@ -388,15 +422,7 @@ class SecureHost:
         self.stats.add("connects_joined")
         event = SimEvent(self.kernel)
         waiters.append(event)
-        timer = (
-            None if timeout is None
-            else self.kernel.schedule(timeout, event.set, None)
-        )
-        try:
-            outcome = event.wait()
-        finally:
-            if timer is not None:
-                timer.cancel()
+        outcome = event.wait(timeout)
         if outcome is None:
             raise NetworkError(
                 f"{self.name}: connect to {peer!r} timed out after {timeout}s"

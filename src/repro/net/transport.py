@@ -74,24 +74,16 @@ class Endpoint:
             corr_id = self._corr_ids.next()
             event = SimEvent(self.kernel)
             self._pending[corr_id] = event
-            timer = None
             try:
-                if timeout is not None:
-                    timer = self.kernel.schedule(timeout, event.set, _TIMEOUT)
                 self.network.send(
                     Message(
                         src=self.name, dst=dst, kind=kind, payload=payload,
                         corr_id=corr_id,
                     )
                 )
-                result = event.wait()
+                result = event.wait(timeout, _TIMEOUT)
             finally:
-                # Cancel on *every* exit — success, timeout, interruption,
-                # or a send failure — so abandoned calls leave no stale
-                # kernel timers (cancelling a fired timer is a no-op).
                 self._pending.pop(corr_id, None)
-                if timer is not None:
-                    timer.cancel()
             if result is _TIMEOUT:
                 self.stats.add("call_timeouts")
                 raise NetworkError(

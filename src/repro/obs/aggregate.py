@@ -301,8 +301,7 @@ class TelemetryCollector:
             return True
         t0 = self.kernel.now()
         try:
-            channel = self.via.connect(target, timeout=self.timeout)
-            raw = channel.call(TELEMETRY_APP_KIND, b"", timeout=self.timeout)
+            raw = self.via.call(target, TELEMETRY_APP_KIND, b"", self.timeout)
             snapshot = MetricSnapshot.from_wire(decode(raw))
         except ReproError:
             self.stats.add("scrapes_failed")

@@ -80,11 +80,10 @@ class RevClient:
         *args: Any,
         timeout: float | None = 120.0,
     ) -> Any:
-        channel = self._server.secure.connect(destination)
-        raw = channel.call(
-            _APP_KIND,
+        raw = self._server.secure.call(
+            destination, _APP_KIND,
             encode({"source": source, "func": func, "args": list(args)}),
-            timeout=timeout,
+            timeout,
         )
         reply = decode(raw)
         if "error" in reply:

@@ -55,9 +55,9 @@ class RpcClient:
 
     def call(self, destination: str, proc: str, *args: Any,
              timeout: float | None = 120.0) -> Any:
-        channel = self._server.secure.connect(destination)
-        raw = channel.call(
-            _APP_KIND, encode({"proc": proc, "args": list(args)}), timeout=timeout
+        raw = self._server.secure.call(
+            destination, _APP_KIND, encode({"proc": proc, "args": list(args)}),
+            timeout,
         )
         reply = decode(raw)
         if "error" in reply:

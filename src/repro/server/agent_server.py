@@ -670,17 +670,12 @@ class AgentServer:
 
         def attempt(_: int) -> dict:
             self.stats.add("transfer_attempts")
-            channel = self.secure.connect(destination, timeout=self.transfer_timeout)
-            raw = channel.call(
-                "atp.transfer", payload, timeout=self.transfer_timeout
-            )
-            return decode(raw)
+            return decode(self.secure.call(
+                destination, "atp.transfer", payload, self.transfer_timeout
+            ))
 
         def note_retry(attempt_no: int, exc: BaseException) -> None:
             self.stats.add("transfer_retries")
-            # The peer may have crashed and restarted; its end of the
-            # cached channel would be gone.  Re-handshake on retry.
-            self.secure.drop_channel(destination)
             self.audit.record(
                 self.name, "atp.retry", destination, True,
                 f"attempt {attempt_no} retrying after: {exc}",
@@ -895,15 +890,10 @@ class AgentServer:
 
         def attempt(_: int) -> None:
             self.stats.add("report_attempts")
-            channel = self.secure.connect(home_site)
-            if len(bodies) == 1:
-                channel.send("agent.report", bodies[0])
-            else:
-                channel.send_many("agent.report", bodies)
+            self.secure.send(home_site, "agent.report", bodies)
 
         def note_retry(attempt_no: int, exc: BaseException) -> None:
             self.stats.add("report_retries")
-            self.secure.drop_channel(home_site)
 
         with _obs.span(
             "report.send", server=self.name, destination=home_site,
@@ -1460,6 +1450,10 @@ class AgentServer:
                 + self.secure.stats["rejected_replayed"]
                 + self.secure.stats["rejected_malformed"]
             ),
+            # Frames naming no channel held here: a tampered clear channel
+            # id, or a restarted peer's stale traffic, which no counter
+            # can tell apart, so they are not counted as rejected.
+            "channel_frames_unroutable": self.secure.stats["unknown_channel"],
             "transfers_refused_integrity": self.stats[
                 "transfers_refused_integrity"
             ],

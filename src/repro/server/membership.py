@@ -59,9 +59,8 @@ HEARTBEAT_APP_KIND = "cluster.heartbeat"
 
 # Virtual seconds between state sweeps (silence checks).
 SWEEP_PERIOD = 1.0
-# Bound on the secure-channel handshake to an unresponsive peer, so one
-# dead host cannot stall a whole heartbeat round for the default 30s
-# connect timeout.
+# Bound on one heartbeat exchange, handshake included, so one dead host
+# cannot stall a whole heartbeat round for the default 30s timeout.
 HEARTBEAT_TIMEOUT = 2.0
 
 # Peer lifecycle states (strings so views serialize/log naturally).
@@ -337,15 +336,13 @@ class FailureDetector:
                 }
             )
             try:
-                channel = self.server.secure.connect(
-                    peer, timeout=HEARTBEAT_TIMEOUT
+                self.server.secure.send(
+                    peer, HEARTBEAT_APP_KIND, [body], HEARTBEAT_TIMEOUT
                 )
-                channel.send(HEARTBEAT_APP_KIND, body)
                 self.stats.add("heartbeats_sent")
             except (NetworkError, ReproError):
                 # Silence is the signal; the peer's sweep does the rest.
                 self.stats.add("heartbeats_failed")
-                self.server.secure.drop_channel(peer)
 
     # -- heartbeat receipt (kernel event context — never blocks) -----------------
 

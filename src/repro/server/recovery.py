@@ -78,8 +78,8 @@ CHECKPOINT_APP_KIND = "cluster.checkpoint"
 # Virtual seconds between refresh ticks for live residents (between
 # ticks, checkpoints happen at hop boundaries, i.e. on admission).
 CHECKPOINT_PERIOD = 5.0
-# Bound on the secure-channel handshake for a push to (or a probe of)
-# an unreachable peer.
+# Bound on one push to (or probe of) a peer, handshake and reply alike,
+# so an unreachable peer costs at most this much.
 CHECKPOINT_TIMEOUT = 5.0
 
 
@@ -284,10 +284,9 @@ class RecoveryCoordinator:
         while self._outbox:
             home, key, body = self._outbox.pop(0)
             try:
-                channel = server.secure.connect(
-                    home, timeout=CHECKPOINT_TIMEOUT
+                server.secure.send(
+                    home, CHECKPOINT_APP_KIND, [body], CHECKPOINT_TIMEOUT
                 )
-                channel.send(CHECKPOINT_APP_KIND, body)
                 self.stats.add("pushes_sent")
             except (NetworkError, ReproError):
                 # Lossy by design: the periodic tick re-pushes soon, and
@@ -297,7 +296,6 @@ class RecoveryCoordinator:
                 if key is not None:
                     self._fresh.pop(key, None)
                 self.stats.add("pushes_failed")
-                server.secure.drop_channel(home)
 
     # -- checkpoint receipt (home side, kernel event context) ---------------------
 
@@ -469,21 +467,16 @@ class RecoveryCoordinator:
         """
         server = self.server
         try:
-            channel = server.secure.connect(peer, timeout=CHECKPOINT_TIMEOUT)
-            reply = decode(
-                channel.call(
-                    CHECKPOINT_APP_KIND,
-                    encode({"op": "probe", "agent": agent}),
-                    timeout=CHECKPOINT_TIMEOUT,
-                )
-            )
+            reply = decode(server.secure.call(
+                peer, CHECKPOINT_APP_KIND,
+                encode({"op": "probe", "agent": agent}), CHECKPOINT_TIMEOUT,
+            ))
             state = reply.get("state")
         except (NetworkError, ReproError):
             # Unreachable again already: leave the checkpoint in escrow —
             # the detector will confirm death and the ordinary path
             # takes over.
             self.stats.add("probes_failed")
-            server.secure.drop_channel(peer)
             return True
         if state in ("resident", "journaled"):
             self.stats.add(f"rehomes_vetoed_{state}")

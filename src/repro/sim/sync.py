@@ -47,12 +47,26 @@ class SimEvent:
         for thread in waiters:
             self._kernel.resume(thread)
 
-    def wait(self) -> Any:
-        """Block until the event is set; returns the payload."""
+    def wait(self, timeout: float | None = None, expired: Any = None) -> Any:
+        """Block until the event is set; returns the payload.
+
+        With a ``timeout``, a kernel timer sets the event to ``expired``
+        after ``timeout`` virtual seconds.  The timer is cancelled on
+        every exit (set, expired, or the waiter interrupted), so a wait
+        leaves no stale timer behind.
+        """
         if not self._set:
             current = _require_current(self._kernel, "SimEvent.wait")
+            timer = (
+                None if timeout is None
+                else self._kernel.schedule(timeout, self.set, expired)
+            )
             self._waiters.append(current)
-            current._block(self)
+            try:
+                current._block(self)
+            finally:
+                if timer is not None:
+                    timer.cancel()
         return self._payload
 
     def _remove_waiter(self, thread: SimThread) -> None:

@@ -154,7 +154,8 @@ def call_with_retries(
     Backoff sleeps require a simulated-thread context (they park the
     calling thread on the kernel clock).  ``on_retry(attempt, exc)``
     fires after a retryable failure, *before* the backoff sleep — the
-    hook point for dropping a possibly-stale channel or bumping stats.
+    hook point for stats and audit records (a stale secure channel needs
+    no hook: ``SecureHost.call``/``send`` forget it on the failure).
     Raises ``exhausted`` (default :class:`RetryExhaustedError`) wrapping
     the last error once every attempt failed, or
     :class:`CircuitOpenError` as soon as ``breaker`` refuses.

@@ -10,15 +10,18 @@ from repro.errors import (
     DuplicateNameError,
     NamingError,
     NetworkError,
+    ReproError,
     RetryExhaustedError,
     UnknownNameError,
 )
+from repro.naming.registry import error_reply, raise_reply_error
 from repro.naming.remote import RemoteNameService
 from repro.naming.urn import URN
 from repro.obs import runtime as _obs
 from repro.server.testbed import Testbed
 from repro.sim.threads import SimThread
 from repro.util.retry import RetryPolicy
+from repro.util.serialization import decode
 
 
 @register_trusted_agent_class
@@ -109,11 +112,30 @@ def test_error_kinds_survive_the_wire():
     assert outcomes == {"unknown": True, "duplicate": True, "badtoken": True}
 
 
+@pytest.mark.parametrize(
+    "exc, raised",
+    [
+        (UnknownNameError("u"), UnknownNameError),
+        (DuplicateNameError("d"), DuplicateNameError),
+        (NamingError("n"), NamingError),
+        (ReproError("r"), NamingError),  # any other failure is plain naming
+    ],
+)
+def test_error_reply_round_trips_to_the_client_exception(exc, raised):
+    """Both name servers reply through ``error_reply`` and every client
+    decodes through ``raise_reply_error``: one protocol, one map."""
+    with pytest.raises(NamingError) as info:
+        raise_reply_error(decode(error_reply(exc)))
+    assert type(info.value) is raised
+    assert str(info.value) == str(exc)
+    raise_reply_error({"ok": True})  # a success reply raises nothing
+
+
 def test_error_kind_mapping_covers_every_kind():
     """`_ERROR_KINDS` round-trip at the protocol layer: each server-side
     kind string reconstructs the matching client-side exception, and an
     unknown kind (or an unknown op) degrades to plain NamingError."""
-    from repro.naming.remote import _ERROR_KINDS
+    from repro.naming.registry import _ERROR_KINDS
 
     assert _ERROR_KINDS == {
         "unknown": UnknownNameError,
