@@ -12,6 +12,7 @@ from __future__ import annotations
 import contextlib
 import json
 import pathlib
+import statistics
 import time
 from typing import Callable, Iterable
 
@@ -97,6 +98,12 @@ def time_op(fn: Callable[[], object], *, target_seconds: float = 0.05,
         samples.append((time.perf_counter() - start) / repeat)
     samples.sort()
     return samples[1] * 1e9
+
+
+def median_of(run: Callable[[], float]) -> float:
+    """Median of 5 calls of ``run``: a full-stack row of one world's run
+    is at the mercy of a single scheduler stall, the median is not."""
+    return statistics.median(run() for _ in range(5))
 
 
 def write_table(

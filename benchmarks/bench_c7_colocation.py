@@ -27,7 +27,7 @@ from repro.sim.kernel import Kernel
 from repro.sim.sync import BlockingQueue
 from repro.server.testbed import Testbed
 
-from _common import BenchWorld, time_op, write_table
+from _common import BenchWorld, median_of, time_op, write_table
 
 N_MESSAGES = 200
 
@@ -104,7 +104,7 @@ def test_table_c7(benchmark, world):
         mailbox, domain, proxy = make_mailbox_proxy(world)
         with enter_group(domain.thread_group):
             proxy_ns = time_op(lambda: proxy.deliver("m"))
-        wall = exchange_run()
+        wall = median_of(exchange_run)
         return [
             ["raw queue hand-off (floor)", raw_ns, 1.0],
             ["mailbox deliver via proxy", proxy_ns, proxy_ns / raw_ns],
@@ -123,7 +123,7 @@ def test_table_c7(benchmark, world):
         notes=(
             "the security layer (policy-gated proxy + server-attached sender"
             " identity) costs a small multiple of a raw queue operation; the"
-            " full-stack figure is dominated by simulated-thread context"
-            " switches, not by the protection."
+            " full-stack figure (median of 5 worlds) is dominated by"
+            " simulated-thread context switches, not by the protection."
         ),
     )

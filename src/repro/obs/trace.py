@@ -9,14 +9,15 @@ because the span context hops servers inside the agent image's
 attributes exactly like ``transfer_id`` does (see
 ``repro.server.agent_server``).
 
-Context management is per *OS thread*: simulated threads
-(:mod:`repro.sim.threads`) are real OS threads under a deterministic
-baton, so keying the active-span stack on
-:func:`threading.current_thread` gives every agent/recovery/kernel
-context its own properly nested stack even though spans of different
-threads interleave in virtual time.  Span ids come from plain counters —
-no wall clock, no randomness — so traces are bit-reproducible run to
-run.
+Context management is per *OS thread*: a simulated thread
+(:mod:`repro.sim.threads`) runs from start to finish on one pooled
+carrier OS thread under a deterministic baton, and a carrier takes its
+next thread only with no open span of the installed tracer, so keying
+the active-span stack on :func:`threading.current_thread` gives every
+agent/recovery/kernel context its own properly nested stack even though
+spans of different threads interleave in virtual time.  Span ids come
+from plain counters — no wall clock, no randomness — so traces are
+bit-reproducible run to run.
 
 Exports: JSON-lines (one span per line, greppable) and the Chrome
 trace-event format (load the file in ``chrome://tracing`` or

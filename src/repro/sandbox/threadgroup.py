@@ -4,9 +4,10 @@ Section 5.3, "Domain identification": every agent executes under its own
 thread group; all server threads share the server group.  The *current*
 group is derived from execution context — a stack kept in OS-thread-local
 storage — never from arguments a caller could forge.  Simulated threads
-(each of which is its own OS thread) establish their group at start; the
-server establishes its group around kernel-context callbacks; tests and
-micro-benchmarks use :func:`enter_group` directly.
+(each runs from start to finish on one pooled carrier OS thread, which
+must find this stack empty before it takes the next) establish their
+group at start; the server establishes its group around kernel-context
+callbacks; tests and micro-benchmarks use :func:`enter_group` directly.
 """
 
 from __future__ import annotations

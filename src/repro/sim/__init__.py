@@ -5,12 +5,12 @@ execution styles share one virtual clock and one event queue:
 
 * **callback events** — cheap, used by protocol machinery (message
   delivery, timers);
-* **simulated threads** (:class:`~repro.sim.threads.SimThread`) — real OS
-  threads run one-at-a-time under a baton-passing discipline, so agent
-  code can be ordinary *blocking* Python (sleep, queue get/put, join)
-  while the whole simulation stays deterministic.  These simulated
-  threads are what Ajanta's thread-groups-as-protection-domains
-  (section 5.3) are built from.
+* **simulated threads** (:class:`~repro.sim.threads.SimThread`) — run on
+  pooled carrier OS threads, one at a time under a baton-passing
+  discipline, so agent code can be ordinary *blocking* Python (sleep,
+  queue get/put, join) while the whole simulation stays deterministic.
+  These simulated threads are what Ajanta's
+  thread-groups-as-protection-domains (section 5.3) are built from.
 """
 
 from repro.sim.kernel import EventHandle, Kernel

@@ -160,7 +160,9 @@ class Kernel:
         # One bound method, so a queued resume is recognised by identity.
         self._transfer = self._transfer_to
         self._current: "SimThread | None" = None
-        self._threads: list["SimThread"] = []
+        # Unfinished threads only (an ordered set): a finished thread
+        # retires, releasing its target and everything it closed over.
+        self._threads: dict["SimThread", None] = {}
         self._running = False
         self._until: float | None = None
         self._thread_failures: list["SimThread"] = []
@@ -330,7 +332,10 @@ class Kernel:
         return self._current
 
     def _register_thread(self, thread: "SimThread") -> None:
-        self._threads.append(thread)
+        self._threads[thread] = None
+
+    def _retire_thread(self, thread: "SimThread") -> None:
+        del self._threads[thread]
 
     def resume(self, thread: "SimThread", delay: float = 0.0) -> EventHandle:
         """Schedule ``thread`` to resume ``delay`` seconds from now."""
@@ -392,5 +397,5 @@ class Kernel:
         ) from exc
 
     def threads(self) -> list["SimThread"]:
-        """All simulated threads ever registered with this kernel."""
+        """The simulated threads of this kernel that have not finished."""
         return list(self._threads)

@@ -1,11 +1,16 @@
 """Simulated threads: plain blocking Python under a deterministic scheduler.
 
-Each :class:`SimThread` is a real OS thread, but *exactly one* thread (the
-one that called :meth:`Kernel.run` or one simulated thread) runs at any
-instant.  Control moves via a baton: every thread owns a raw lock, created
-held, and is handed the baton by releasing it.  Blocking operations —
-``sleep``, synchronization primitives in :mod:`repro.sim.sync`, ``join`` —
-park the thread and schedule its wake-up as an ordinary kernel event
+Each :class:`SimThread` runs on a real OS thread, but *exactly one*
+thread (the one that called :meth:`Kernel.run` or one simulated thread)
+runs at any instant.  The OS threads are *carriers* from a pool shared
+by the whole process: :meth:`SimThread.start` takes an idle carrier (or
+starts one), the carrier runs that one simulated thread from its first
+resume to its end and then parks for the next; at most
+:data:`MAX_IDLE_CARRIERS` wait idle.  Control moves via a baton: every
+carrier owns a raw lock, created held, and the thread it runs is handed
+the baton by releasing it.  Blocking operations — ``sleep``,
+synchronization primitives in :mod:`repro.sim.sync`, ``join`` — park the
+thread and schedule its wake-up as an ordinary kernel event
 (:meth:`Kernel.resume`), so execution order is a pure function of the
 event queue and is reproducible run-to-run.  A yielding thread whose next
 queued event is another thread's resume fires it and wakes that thread
@@ -16,6 +21,11 @@ This is the substrate for Ajanta's protection-domain identification: the
 server runs every visiting agent in its own (group of) simulated threads,
 and the security manager asks "which thread group is the current thread
 in?" to decide which protection domain a request comes from (section 5.3).
+That answer, and the tracer's span stack, live in state local to the OS
+thread, so a carrier runs its next simulated thread only if it finds that
+state clean: an empty thread-group stack and no open span of the
+installed tracer.  A carrier that finds it dirty refuses the thread with
+:class:`SimulationError` and retires.
 """
 
 from __future__ import annotations
@@ -26,9 +36,15 @@ import threading
 from typing import Any, Callable, Protocol
 
 from repro.errors import AgentStateError, SimulationError
+from repro.obs import runtime as _obs
 from repro.sim.kernel import Kernel
 
-__all__ = ["SimThread", "ThreadState", "Interrupted", "WaitTarget"]
+__all__ = ["SimThread", "ThreadState", "Interrupted", "WaitTarget", "MAX_IDLE_CARRIERS"]
+
+#: Carriers kept parked between simulated threads; one finishing when the
+#: pool is full exits instead.  Above the number of simulated threads a
+#: world keeps alive at once, so steady-state starts create no OS thread.
+MAX_IDLE_CARRIERS = 64
 
 
 class ThreadState(enum.Enum):
@@ -102,16 +118,14 @@ class SimThread:
         self.result: Any = None
         self.exception: BaseException | None = None
         self.context: dict[str, Any] = context if context is not None else {}
-        self._target = target
+        self._target: Callable[[], Any] | None = target
         self._on_error = on_error
-        self._resume = _thread.allocate_lock()  # released to hand us the baton
-        self._resume.acquire()
+        # Released to hand us the baton: our carrier's lock, from start()
+        # until we finish.
+        self._resume: "_thread.LockType | None" = None
         self._interrupt_exc: BaseException | None = None
         self._waiting_on: WaitTarget | None = None
         self._joiners: list["SimThread"] = []
-        self._os_thread = threading.Thread(
-            target=self._bootstrap, name=f"sim:{name}", daemon=True
-        )
         kernel._register_thread(self)
 
     # -- lifecycle ------------------------------------------------------------
@@ -121,14 +135,28 @@ class SimThread:
         if self.state is not ThreadState.NEW:
             raise AgentStateError(f"thread {self.name!r} already started")
         self.state = ThreadState.READY
-        self._os_thread.start()
+        with _idle_lock:
+            carrier = _idle.pop() if _idle else None
+        if carrier is None:
+            carrier = _Carrier()
+        carrier.next = self
+        self._resume = carrier.wake
         self.kernel.resume(self, delay)
         return self
 
-    def _bootstrap(self) -> None:
-        self._resume.acquire()
+    def _run(self, carrier: "_Carrier") -> bool:
+        """Run on ``carrier`` from the first resume to the end.
+
+        Returns True when the carrier went back to the idle pool.
+        """
         self.state = ThreadState.RUNNING
+        dirty = _dirty_state()
         try:
+            if dirty is not None:
+                raise SimulationError(
+                    f"carrier {carrier.os_thread.name!r} refused thread "
+                    f"{self.name!r}: {dirty} left by its previous thread"
+                )
             self.result = self._target()
         except _Kill:
             self.state = ThreadState.KILLED
@@ -140,10 +168,19 @@ class SimThread:
         else:
             self.state = ThreadState.DONE
         finally:
+            self._target = self._resume = None
             self._wake_joiners()
+            self.kernel._retire_thread(self)
+            # Park before passing the baton on: once it has moved, the
+            # next start() may already want this carrier.
+            with _idle_lock:
+                pooled = dirty is None and len(_idle) < MAX_IDLE_CARRIERS
+                if pooled:
+                    _idle.append(carrier)
             # Finished: no resume of ours is queued, so this cannot
             # return True (keep the baton).
             self.kernel._hand_off(self)
+        return pooled
 
     def _wake_joiners(self) -> None:
         joiners, self._joiners = self._joiners, []
@@ -261,3 +298,56 @@ class _JoinTarget:
 
 class _Kill(BaseException):
     """Internal sentinel raised to terminate a thread; never escapes."""
+
+
+class _Carrier:
+    """A pooled OS thread that runs one :class:`SimThread` at a time.
+
+    ``wake`` doubles as the baton lock of the thread being run: releasing
+    it for that thread's first resume is what starts it on the carrier.
+    """
+
+    __slots__ = ("wake", "next", "os_thread")
+
+    def __init__(self) -> None:
+        self.wake = _thread.allocate_lock()
+        self.wake.acquire()
+        self.next: SimThread | None = None
+        self.os_thread = threading.Thread(
+            target=self._serve, name="sim-carrier", daemon=True
+        )
+        self.os_thread.start()
+
+    def _serve(self) -> None:
+        while True:
+            self.wake.acquire()
+            thread, self.next = self.next, None
+            assert thread is not None, "carrier woken without a thread"
+            if not thread._run(self):
+                return
+            del thread  # a parked carrier must not pin a finished thread
+
+
+# Parked carriers, most recently parked last.  Kernels running on
+# different OS threads share the pool, hence the lock.
+_idle: list[_Carrier] = []
+_idle_lock = _thread.allocate_lock()
+
+
+def _dirty_state() -> str | None:
+    """What the calling carrier's OS-thread-local state still holds.
+
+    None when clean: the state domain identification (the thread-group
+    stack) and tracing (the installed tracer's span stack) key on the OS
+    thread must not leak from one simulated thread into the next.
+    """
+    # Imported here: repro.sandbox imports the audit log, which imports
+    # repro.obs, which imports this package.
+    from repro.sandbox.threadgroup import current_group
+
+    if current_group() is not None:
+        return "a non-empty thread-group stack"
+    tracer = _obs.TRACER
+    if tracer is not None and tracer.current_span() is not None:
+        return "an open span"
+    return None
