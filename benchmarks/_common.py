@@ -113,8 +113,8 @@ def write_table(
     rows: Iterable[Iterable[object]],
     notes: str = "",
     *,
+    headline: tuple[str, float, str],
     seed: object = None,
-    headline: tuple[str, float, str] | None = None,
 ) -> str:
     """Format, print and persist one experiment table.
 
@@ -122,9 +122,7 @@ def write_table(
     lands as machine-readable ``results/BENCH_<exp>.json`` — headline
     metric/value/unit, the driving ``seed``, and the full raw table for
     downstream tooling.  ``headline=(metric, value, unit)`` names the
-    number that matters; without it the headline is derived from the
-    first numeric cell of the first data row (its header doubling as
-    the unit), which is only right when that row is the result.
+    number the table is about.
     """
     raw_rows = [list(row) for row in rows]
     _write_json(exp_id, title, headers, raw_rows, notes, seed, headline)
@@ -154,19 +152,9 @@ def _write_json(
     raw_rows: list[list[object]],
     notes: str,
     seed: object,
-    headline: tuple[str, float, str] | None,
+    headline: tuple[str, float, str],
 ) -> None:
-    metric, value, unit = headline if headline is not None else (None, None, None)
-    if headline is None and raw_rows:
-        first = raw_rows[0]
-        for j, cell in enumerate(first):
-            if isinstance(cell, bool) or not isinstance(cell, (int, float)):
-                continue
-            unit = headers[j] if j < len(headers) else None
-            label = next((c for c in first if isinstance(c, str)), None)
-            metric = f"{label}: {unit}" if label else unit
-            value = cell
-            break
+    metric, value, unit = headline
     payload = {
         "exp_id": exp_id,
         "title": title,

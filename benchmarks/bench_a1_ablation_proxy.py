@@ -127,6 +127,11 @@ def test_table_a1(benchmark, world):
         ["variant", "ns/call", "x precomputed"],
         rows,
         seed=4000,
+        headline=(
+            "re-evaluate policy per call",
+            next(r[2] for r in rows if r[0] == "re-evaluate policy per call"),
+            "x precomputed",
+        ),
         notes=(
             "re-evaluating per call costs orders of magnitude more than the"
             " precomputed set; memoisation recovers most of it but cannot"

@@ -109,6 +109,10 @@ def test_table_a2(benchmark):
         ["source bytes", "verify µs", "verify+namespace+exec µs", "verify %",
          "cached load µs"],
         rows,
+        headline=(
+            f"verify share of uncached load, {rows[-1][0]}-byte source",
+            rows[-1][3], "%",
+        ),
         notes=(
             "verification is linear in code size and a moderate fraction of"
             " total load cost; all of it is paid once per distinct source on"

@@ -116,6 +116,7 @@ def test_table_a3(benchmark, world):
         ["variant", "ns/call", "safety"],
         rows,
         seed=4000,
+        headline=("synthesized per-method forwarder", rows[0][1], "ns/call"),
         notes=(
             f"after disabling `size`: dynamic proxy blocks new lookups"
             f" ({revoked_blocked}) but a previously cached bound method still"

@@ -65,6 +65,10 @@ def test_table_c1(benchmark):
         return rows
 
     rows = benchmark.pedantic(build, rounds=1, iterations=1)
+
+    def client_bytes(strategy: str) -> int:
+        return next(r[4] for r in rows if r[:3] == ["heavy", 8, strategy])
+
     write_table(
         "C1",
         "paradigm comparison: RPC vs REV vs mobile agent (section 1)",
@@ -72,6 +76,10 @@ def test_table_c1(benchmark):
          "makespan s", "winner"],
         rows,
         seed=5,
+        headline=(
+            "rpc / agent client-link bytes, heavy workload, 8 servers",
+            round(client_bytes("rpc") / client_bytes("agent"), 2), "x",
+        ),
         notes=(
             "light workload (tiny results): RPC's total bytes win — shipping"
             " code costs more than asking.  heavy workload: the agent"
@@ -136,6 +144,7 @@ def test_table_c1b_crossover(benchmark):
         ["selectivity", "rpc bytes", "agent bytes", "total-bytes winner"],
         rows,
         seed=5,
+        headline=("rpc/agent total-bytes crossover", crossover, "selectivity"),
         notes=(
             f"{where}; below it, asking is cheaper than travelling — the"
             " quantitative form of the paper's qualitative trade-off."

@@ -101,6 +101,11 @@ def test_table_c2(benchmark, world):
         ["configuration", "ns/call", "overhead % vs unmetered"],
         rows,
         seed=4000,
+        headline=(
+            "counting-only metering overhead",
+            next(r[2] for r in rows if r[0] == "counting only"),
+            "% vs unmetered",
+        ),
         notes=(
             "counting/quota metering is a dict update on the fast path;"
             " elapsed-time billing adds two clock reads — all small"

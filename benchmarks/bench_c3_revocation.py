@@ -154,6 +154,11 @@ def test_table_c3(benchmark, world):
         ["operation", "ns", "x live-call"],
         rows,
         seed=4000,
+        headline=(
+            "revoke_all over 10000 proxies",
+            next(r[1] for r in rows if r[0] == "revoke_all over 10000 proxies"),
+            "ns/proxy",
+        ),
         notes=(
             "revocation takes effect at the very next invocation (a flag"
             " on the proxy), and bulk revocation is linear with a tiny"

@@ -100,12 +100,20 @@ def test_table_c5(benchmark, world, relay):
         return rows
 
     rows = benchmark.pedantic(build, rounds=1, iterations=1)
+
+    def verify_us(depth: int) -> float:
+        return next(r[2] for r in rows if r[0] == f"verify chain depth {depth}")
+
     write_table(
         "C5",
         "credential costs vs delegation depth (section 5.2)",
         ["operation", "wire bytes", "µs", "notes"],
         rows,
         seed=4000,
+        headline=(
+            "chain verify per delegation link",
+            (verify_us(8) - verify_us(0)) / 8, "µs/link",
+        ),
         notes=(
             "verification is linear in depth (one cert validation + one"
             " signature per link); rights evaluation stays cheap because"

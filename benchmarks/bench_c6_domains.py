@@ -133,6 +133,11 @@ def test_table_c6(benchmark, world):
         ["operation", "ns"],
         rows,
         seed=4000,
+        headline=(
+            "protection domain (trusted code)",
+            next(r[1] for r in rows if r[0] == "protection domain (trusted code)"),
+            "ns",
+        ),
         notes=(
             "domain creation is microseconds (the namespace's builtins copy"
             " and code verification dominate for untrusted agents);"

@@ -109,6 +109,12 @@ def test_table_f1(benchmark):
         ["operation", "µs/agent", "throughput"],
         rows,
         seed=1000,
+        headline=(
+            "host 100 trusted agents (launch→complete)",
+            next(r[1] for r in rows
+                 if r[0] == "host 100 trusted agents (launch→complete)"),
+            "µs/agent",
+        ),
         notes=(
             "per-agent cost is dominated by admission's RSA credential"
             " verification plus, for untrusted agents, AST verification and"

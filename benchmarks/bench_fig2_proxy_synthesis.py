@@ -101,6 +101,10 @@ def test_table_f2(benchmark, world):
         ["exported methods", "synth cold ns", "synth cached ns", "get_proxy ns"],
         rows,
         seed=4000,
+        headline=(
+            "get_proxy, 8 exported methods",
+            next(r[3] for r in rows if r[0] == 8), "ns",
+        ),
         notes=(
             "synthesis is linear in interface width but paid once per class;"
             " get_proxy grows with width (policy decides per method) and is"

@@ -75,5 +75,10 @@ def test_table_f3(benchmark, setup):
         ["operation", "ns/call"],
         rows,
         seed=4000,
+        headline=(
+            "resource_name (proxy)",
+            next(r[1] for r in rows if r[0] == "resource_name (proxy)"),
+            "ns/call",
+        ),
         notes="generic queries inherit the same proxy fast path as Fig. 4 methods.",
     )

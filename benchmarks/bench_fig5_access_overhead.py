@@ -211,6 +211,11 @@ def test_table_f5(benchmark, world):
         ["design", "ns/call", "x direct"],
         rows,
         seed=4000,
+        headline=(
+            "proxy, unconfined",
+            next(r[2] for r in rows if r[0] == "proxy, unconfined"),
+            "x direct",
+        ),
         notes=(
             "expected shape: proxy ≈ small constant over direct;"
             " wrapper grows with ACL length; the central manager re-runs a"

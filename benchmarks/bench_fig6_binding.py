@@ -102,6 +102,7 @@ def test_table_f6(benchmark, world, service):
         ["N calls", "proxy total µs", "wrapper total µs", "winner"],
         rows,
         seed=4000,
+        headline=("bind-once vs ACL wrapper crossover", crossover, "calls"),
         notes=(
             f"one-time binding (cold) = {bind_ns:,.0f} ns;"
             f" re-binding (warm, grant cache hit) = {warm_bind_ns:,.0f} ns;"

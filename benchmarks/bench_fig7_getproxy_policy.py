@@ -148,6 +148,11 @@ def test_table_f7(benchmark, world):
         ["configuration", "cold ns/get_proxy", "warm ns/get_proxy", "speedup"],
         rows,
         seed=4000,
+        headline=(
+            "warm get_proxy, rules=128",
+            next(r[2] for r in rows if r[0] == "rules=128, depth=0"),
+            "ns",
+        ),
         notes=(
             "cold = grant cache flushed before each bind (full policy"
             " decision, the pre-fast-path behavior); warm = repeat binding"

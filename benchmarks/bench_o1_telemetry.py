@@ -8,21 +8,21 @@ PR 9's tentpole claims, pinned as numbers:
   totals as the testbed's omniscient registry: every integer counter
   key matches exactly (conservation under merge) and histogram mass is
   preserved bucket-for-bucket;
-* **profiling attributes the tour** — the deterministic sampling
-  profiler, ticking on kernel virtual time, attributes ≥ 90% of its
-  samples to open spans across a 5-hop tour, and
-  ``FlightRecorder.critical_path`` decomposes the tour's wall-clock
-  latency into segments (crypto / network / queue / supervision /
-  compute) that sum *exactly* to the total;
+* **spans cover the tour** — ``FlightRecorder.critical_path``
+  decomposes a 5-hop tour's virtual-time latency into segments
+  (crypto / network / queue / supervision / compute) that sum *exactly*
+  to the total, ≥ 90% of it inside open spans (span coverage, 1 − gap
+  share), and its collapsed flame stacks plus the gap sum to the total;
 * **off means off** — with the whole plane constructed but not started
-  (no tracer installed, no collector ticking, no profiler, no SLO
-  watchdog), the S1-style warm enforcement path pays ≤ 2% overhead.
+  (no tracer installed, no collector ticking, no SLO watchdog), the
+  S1-style warm enforcement path pays ≤ 2% overhead.
 
 ``python benchmarks/bench_o1_telemetry.py --quick`` runs the reduced CI
 gate: the same exactness checks on a 4-server world, the unclosed-span
 check, a bounded scrape p99, and the 2% all-off tripwire.  It also
 drops ``results/O1_scrape.json`` (the merged cluster snapshot) and
-``results/O1_flame.txt`` (collapsed flame stacks) as CI artifacts.
+``results/O1_flame.txt`` (the tour's collapsed flame stacks, in integer
+virtual µs) as CI artifacts.
 """
 
 from __future__ import annotations
@@ -148,32 +148,37 @@ def federation_report(n_servers: int = N_SERVERS,
 
 
 # ---------------------------------------------------------------------------
-# profiling + critical path
+# span coverage + critical path
 # ---------------------------------------------------------------------------
 
 
-def profiler_report(seed: int = SEED + 1) -> dict:
-    """A 5-hop tour under the sampling profiler and flight recorder."""
+def coverage_report(seed: int = SEED + 1) -> dict:
+    """A 5-hop tour's critical path under the flight recorder."""
     bed = Testbed(6, seed=seed)
     recorder = bed.start_tracing()
-    profiler = bed.start_profiler(period=0.001)
     agent = O1Tourist()
     agent.tour = [s.name for s in bed.servers][1:]  # 5 hops
     image = bed.launch(agent, Rights.none())
     bed.run()
-    bed.stop_profiler()
     bed.stop_tracing()
     cp = recorder.critical_path(image.name)
-    residual = abs(sum(cp["segments"].values()) - cp["total"])
+    gap = cp["segments"].get("gap", 0.0)
     return {
-        "samples": profiler.total_samples,
-        "attributed": profiler.attributed_samples,
-        "ratio": profiler.attribution_ratio,
+        "coverage": 1.0 - gap / cp["total"] if cp["total"] else 0.0,
         "critical_path": cp,
-        "cp_residual": residual,
+        "cp_residual": abs(sum(cp["segments"].values()) - cp["total"]),
+        "stacks_residual": abs(sum(cp["stacks"].values()) + gap - cp["total"]),
         "unclosed_spans": len(recorder.open_spans()),
-        "profiler": profiler,
     }
+
+
+def render_flame(stacks: dict[str, float]) -> str:
+    """Flame-graph collapsed format, ``outer;inner µs`` per line: each
+    stack's critical-path share in integer virtual microseconds."""
+    return "".join(
+        f"{key} {round(seconds * 1e6)}\n"
+        for key, seconds in sorted(stacks.items())
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -195,12 +200,10 @@ def _warm_proxy():
 
 
 def _idle_plane() -> Testbed:
-    """The whole plane, started nowhere: a telemetry'd world, its SLO
-    watchdog, and a profiler, all idle."""
+    """The whole plane, started nowhere: a telemetry'd world and its SLO
+    watchdog, both idle."""
     plane = Testbed(2, seed=SEED + 2)
     plane.slo_monitor()
-    plane.start_profiler()
-    plane.stop_profiler()
     plane.stop_tracing()
     return plane
 
@@ -277,10 +280,11 @@ def test_federated_scrape_is_exact():
     assert report["scrape_p99_ns"] <= MAX_SCRAPE_P99_VIRTUAL_NS
 
 
-def test_profiler_attribution_and_critical_path():
-    report = profiler_report()
-    assert report["ratio"] >= MIN_ATTRIBUTION_RATIO
+def test_span_coverage_and_critical_path():
+    report = coverage_report()
+    assert report["coverage"] >= MIN_ATTRIBUTION_RATIO
     assert report["cp_residual"] == pytest.approx(0.0, abs=1e-9)
+    assert report["stacks_residual"] == pytest.approx(0.0, abs=1e-9)
     assert report["critical_path"]["total"] > 0
     assert report["unclosed_spans"] == 0
 
@@ -290,8 +294,8 @@ def test_all_off_overhead_within_budget():
     assert report["overhead_pct"] <= MAX_ALL_OFF_OVERHEAD_PCT, report
 
 
-def build_rows(fed: dict, prof: dict, over: dict) -> tuple[list, str]:
-    cp = prof["critical_path"]
+def build_rows(fed: dict, cov: dict, over: dict) -> tuple[list, str]:
+    cp = cov["critical_path"]
     segments = ", ".join(
         f"{k} {v / cp['total']:>4.0%}" for k, v in
         sorted(cp["segments"].items(), key=lambda kv: -kv[1])
@@ -306,11 +310,14 @@ def build_rows(fed: dict, prof: dict, over: dict) -> tuple[list, str]:
          f"omniscient {fed['hist_mass_omniscient']}"],
         ["scrape p99", fed["scrape_p99_ns"], "virtual ns",
          f"tripwire <= {MAX_SCRAPE_P99_VIRTUAL_NS:.0e}"],
-        ["profiler attribution", round(prof["ratio"], 4), "ratio",
-         f"{prof['attributed']}/{prof['samples']} samples, 5-hop tour"],
-        ["critical-path residual", prof["cp_residual"], "s",
+        ["span coverage", round(cov["coverage"], 4), "ratio",
+         f"1 - gap/total of a 5-hop tour's critical path;"
+         f" {len(cp['stacks'])} flame stacks"],
+        ["critical-path residual", cov["cp_residual"], "s",
          f"total {cp['total']:.4f}s = {segments}"],
-        ["unclosed spans", prof["unclosed_spans"], "spans", "must be 0"],
+        ["flame-stack residual", cov["stacks_residual"], "s",
+         "|sum(stacks) + gap - total|"],
+        ["unclosed spans", cov["unclosed_spans"], "spans", "must be 0"],
         ["all-off overhead", round(over["overhead_pct"], 3), "%",
          f"warm call {over['bare_ns']:.0f} -> {over['off_ns']:.0f} ns;"
          f" median of {OVERHEAD_PAIRS} paired ratios"
@@ -320,31 +327,32 @@ def build_rows(fed: dict, prof: dict, over: dict) -> tuple[list, str]:
     notes = (
         "Federation pulls cumulative snapshots over the secure channel and"
         " merges deltas (restart-safe); the collector scrapes its own host"
-        " last so one settled-world round is exact.  The profiler ticks on"
-        " kernel virtual time, so sampling is deterministic per seed."
+        " last so one settled-world round is exact.  Span coverage and the"
+        " flame stacks are read from the tour's critical path, an exact"
+        " partition of its virtual time, so both are deterministic per seed."
     )
     return rows, notes
 
 
 def write_o1(title: str, rows: list, notes: str) -> None:
-    """Write the O1 table, headlined by the profiler's attribution ratio."""
-    ratio = next(row[1] for row in rows if row[0] == "profiler attribution")
+    """Write the O1 table, headlined by the tour's span coverage."""
+    ratio = next(row[1] for row in rows if row[0] == "span coverage")
     write_table(
         "O1", title, ["check", "value", "unit", "detail"], rows,
         seed=SEED, notes=notes,
-        headline=("profiler attribution", ratio, "ratio"),
+        headline=("span coverage", ratio, "ratio"),
     )
 
 
 def test_table_o1(benchmark):
     def build():
         return build_rows(
-            federation_report(), profiler_report(), overhead_report()
+            federation_report(), coverage_report(), overhead_report()
         )
 
     rows, notes = benchmark.pedantic(build, rounds=1, iterations=1)
     write_o1(
-        "cluster telemetry plane: federation exactness, profiling, overhead",
+        "cluster telemetry plane: federation exactness, span coverage, overhead",
         rows, notes,
     )
 
@@ -357,9 +365,9 @@ def test_table_o1(benchmark):
 def run_quick() -> int:
     failures: list[str] = []
     fed = federation_report(QUICK_N_SERVERS, QUICK_N_AGENTS)
-    prof = profiler_report()
+    cov = coverage_report()
     over = overhead_report(target_seconds=0.02)
-    rows, notes = build_rows(fed, prof, over)
+    rows, notes = build_rows(fed, cov, over)
     write_o1("cluster telemetry plane (CI quick gate)", rows, notes)
 
     if not fed["counters_exact"]:
@@ -374,17 +382,22 @@ def run_quick() -> int:
             f"scrape p99 {fed['scrape_p99_ns']:.3g} virtual ns"
             f" > {MAX_SCRAPE_P99_VIRTUAL_NS:.0e}"
         )
-    if prof["ratio"] < MIN_ATTRIBUTION_RATIO:
+    if cov["coverage"] < MIN_ATTRIBUTION_RATIO:
         failures.append(
-            f"profiler attribution {prof['ratio']:.3f}"
+            f"span coverage {cov['coverage']:.3f}"
             f" < {MIN_ATTRIBUTION_RATIO}"
         )
-    if prof["cp_residual"] > 1e-9:
+    if cov["cp_residual"] > 1e-9:
         failures.append(
-            f"critical path residual {prof['cp_residual']:.3g}s != 0"
+            f"critical path residual {cov['cp_residual']:.3g}s != 0"
         )
-    if prof["unclosed_spans"]:
-        failures.append(f"{prof['unclosed_spans']} span(s) left unclosed")
+    if cov["stacks_residual"] > 1e-9:
+        failures.append(
+            f"flame stacks + gap miss the total by"
+            f" {cov['stacks_residual']:.3g}s"
+        )
+    if cov["unclosed_spans"]:
+        failures.append(f"{cov['unclosed_spans']} span(s) left unclosed")
     if over["overhead_pct"] > MAX_ALL_OFF_OVERHEAD_PCT:
         failures.append(
             f"all-off overhead {over['overhead_pct']:.2f}%"
@@ -396,7 +409,9 @@ def run_quick() -> int:
     (RESULTS_DIR / "O1_scrape.json").write_text(
         fed["cluster_snapshot"].to_json() + "\n"
     )
-    prof["profiler"].render_collapsed(RESULTS_DIR / "O1_flame.txt")
+    (RESULTS_DIR / "O1_flame.txt").write_text(
+        render_flame(cov["critical_path"]["stacks"])
+    )
 
     if failures:
         print("\nO1 smoke FAILED:")
@@ -411,10 +426,10 @@ def main(argv: list[str]) -> int:
     if "--quick" in argv:
         return run_quick()
     rows, notes = build_rows(
-        federation_report(), profiler_report(), overhead_report()
+        federation_report(), coverage_report(), overhead_report()
     )
     write_o1(
-        "cluster telemetry plane: federation exactness, profiling, overhead",
+        "cluster telemetry plane: federation exactness, span coverage, overhead",
         rows, notes,
     )
     return 0

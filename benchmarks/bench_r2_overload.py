@@ -217,6 +217,11 @@ def test_table_r2(benchmark):
          " killed", "virtual end", "wall (cold)", "wall (warm)"],
         rows,
         seed=SEED,
+        headline=(
+            "supervised lookups done",
+            int(next(r[1] for r in rows if r[0] == "supervised").split("/")[0]),
+            f"lookups of {GOOD * LOOKUPS}",
+        ),
         notes=(
             "unsupervised, every lookup queues FIFO behind 30s audit scans"
             " on the catalog's worker pool and the wave crawls; supervised,"

@@ -231,6 +231,10 @@ def test_table_r4(benchmark):
          "committed", "refused", "hints", "repaired", "conserved"],
         rows,
         seed=list(SEEDS),
+        headline=(
+            "worst in-window lookup availability",
+            min(float(r[2].rstrip("%")) for r in rows), "%",
+        ),
         notes=(
             "availability = in-window lookups answered (fresh or"
             " stale-but-flagged) / attempted, fault window 30-60s of a"

@@ -388,8 +388,10 @@ class SecureHost:
 
         Must run in a simulated thread.  Single-flight: while a handshake
         to ``peer`` is in flight, later callers wait for it (each for at
-        most its own ``timeout``) and share its channel or its failure.
-        Raises :class:`AuthenticationError` if the peer cannot prove its
+        most its own ``timeout``) and share its channel or its failure;
+        a joiner whose own wait runs out raises a :class:`NetworkError`
+        marked ``joined`` in its context.  Raises
+        :class:`AuthenticationError` if the peer cannot prove its
         identity, :class:`NetworkError` on a timeout.
         """
         existing = self._by_peer.get(peer)
@@ -424,8 +426,11 @@ class SecureHost:
         waiters.append(event)
         outcome = event.wait(timeout)
         if outcome is None:
+            # Marked: the handshake's own failure is the leader's to
+            # count, so a breaker does not count this wait again.
             raise NetworkError(
-                f"{self.name}: connect to {peer!r} timed out after {timeout}s"
+                f"{self.name}: connect to {peer!r} timed out after {timeout}s",
+                joined=True,
             )
         if isinstance(outcome, BaseException):
             raise outcome

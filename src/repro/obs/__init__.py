@@ -27,7 +27,6 @@ from repro.obs.aggregate import (
     snapshot_delta,
 )
 from repro.obs.metrics import Histogram, MetricsRegistry, render_scrape
-from repro.obs.profiler import SamplingProfiler
 from repro.obs.recorder import (
     PROTOCOL_STEP_NAMES,
     SEGMENT_CATEGORIES,
@@ -78,8 +77,6 @@ __all__ = [
     "TelemetryCollector",
     "CollectorAgent",
     "snapshot_delta",
-    # profiling (repro.obs.profiler)
-    "SamplingProfiler",
     # objectives (repro.obs.slo)
     "SLOMonitor",
     "SLOStatus",

@@ -17,8 +17,8 @@ from repro.obs.trace import Span, Tracer
 __all__ = ["FlightRecorder", "PROTOCOL_STEP_NAMES", "SEGMENT_CATEGORIES"]
 
 # Span-name prefix -> latency segment, for critical-path decomposition.
-# First matching prefix wins (checked longest-first); spans matching
-# nothing fall into "other".
+# A span's name head (the text before its first ".") must equal a prefix
+# exactly; spans matching none fall into "other".
 SEGMENT_CATEGORIES: tuple[tuple[str, str], ...] = (
     ("secure", "crypto"),       # handshakes, sealed calls, MAC work
     ("sec", "crypto"),
@@ -125,12 +125,6 @@ class FlightRecorder:
             )
         return self.spans_where(trace_id=ids[0], include_open=True)
 
-    def span_by_id(self, span_id: str) -> Span | None:
-        for span in self.tracer.spans(include_open=True):
-            if span.span_id == span_id:
-                return span
-        return None
-
     # -- causal structure --------------------------------------------------
 
     def _causal_sort(self, spans: list[Span]) -> list[Span]:
@@ -226,7 +220,7 @@ class FlightRecorder:
     # -- critical-path decomposition ----------------------------------------
 
     def critical_path(self, trace: "str | Any | Iterable[Span]") -> dict:
-        """Decompose one trace's wall-clock latency into segments.
+        """Decompose one trace's virtual-time latency into segments.
 
         ``trace`` is a trace id, an agent URN (resolved via
         :meth:`trace_of`), or an explicit span list.  The trace's total
@@ -241,16 +235,35 @@ class FlightRecorder:
         ``sum(segments.values())`` equals ``total`` up to float
         rounding, which the O1 bench pins.
 
+        ``stacks`` is the same partition as flame-graph input: each
+        interval goes to its innermost span's causal ancestry, found by
+        following ``parent_id`` within the given spans and collapsed
+        outermost first as ``outer;inner``.  A span whose parent is not
+        among them starts its own stack.  Gap intervals belong to no
+        stack, so ``sum(stacks.values()) + gap == total``.
+
         Returns ``{"total", "start", "end", "segments": {category:
-        seconds}, "by_span_name": {name: seconds}}``.
+        seconds}, "by_span_name": {name: seconds}, "stacks": {collapsed
+        stack: seconds}}``.
         """
         spans = self._resolve_trace(trace)
         closed = [s for s in spans if s.end is not None]
         if not closed:
             return {
                 "total": 0.0, "start": 0.0, "end": 0.0,
-                "segments": {}, "by_span_name": {},
+                "segments": {}, "by_span_name": {}, "stacks": {},
             }
+        by_id = {s.span_id: s for s in spans}
+
+        def stack_of(span: Span | None) -> str:
+            # Stops at a repeat: an arriving image's parent context is
+            # attacker-controlled and may close a cycle.
+            names: dict[str, str] = {}
+            while span is not None and span.span_id not in names:
+                names[span.span_id] = span.name
+                span = by_id.get(span.parent_id)
+            return ";".join(reversed(names.values()))
+
         start = min(s.start for s in closed)
         end = max(s.end for s in closed)
         boundaries = sorted(
@@ -260,6 +273,7 @@ class FlightRecorder:
         ordered = sorted(closed, key=lambda s: (s.start, s.span_id))
         segments: dict[str, float] = {}
         by_name: dict[str, float] = {}
+        stacks: dict[str, float] = {}
         for t0, t1 in zip(boundaries, boundaries[1:]):
             width = t1 - t0
             if width <= 0:
@@ -274,12 +288,15 @@ class FlightRecorder:
             category = categorize_span(innermost.name)
             segments[category] = segments.get(category, 0.0) + width
             by_name[innermost.name] = by_name.get(innermost.name, 0.0) + width
+            stack = stack_of(innermost)
+            stacks[stack] = stacks.get(stack, 0.0) + width
         return {
             "total": end - start,
             "start": start,
             "end": end,
             "segments": segments,
             "by_span_name": by_name,
+            "stacks": stacks,
         }
 
     def _resolve_trace(self, trace: "str | Any | Iterable[Span]") -> list[Span]:

@@ -223,10 +223,6 @@ class Tracer:
         stack = self._stacks.get(self._key())
         return stack[-1] if stack else None
 
-    def current_context(self) -> SpanContext | None:
-        span = self.current_span()
-        return span.context if span is not None else None
-
     # -- span lifecycle ----------------------------------------------------
 
     def start_span(
@@ -317,30 +313,11 @@ class Tracer:
         """Spans started but never ended — the leak check's subject."""
         return list(self._open.values())
 
-    def active_stacks(self) -> dict[object, list[Span]]:
-        """Every thread's open-span stack, outermost first (copies).
-
-        The sampling profiler's read surface: at each virtual-time tick
-        it turns each stack into one flame sample.  Keys are the OS
-        thread objects the stacks are keyed on; callers treat them as
-        opaque identities.
-        """
-        return {key: list(stack) for key, stack in self._stacks.items() if stack}
-
     def spans(self, *, include_open: bool = False) -> list[Span]:
         out = list(self.finished)
         if include_open:
             out.extend(self._open.values())
         return out
-
-    def trace_ids(self) -> list[str]:
-        """Distinct trace ids, in first-seen order."""
-        seen: dict[str, None] = {}
-        for span in self.finished:
-            seen.setdefault(span.trace_id, None)
-        for span in self._open.values():
-            seen.setdefault(span.trace_id, None)
-        return list(seen)
 
     def clear(self) -> None:
         self.finished.clear()

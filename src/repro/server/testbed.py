@@ -136,7 +136,6 @@ class Testbed:
         self.metrics = MetricsRegistry()
         self.tracer: Tracer | None = None
         self.collector: Any = None
-        self.profiler: Any = None
 
         # Owner identity: the human whose agents these are.
         self.owner = URN.parse("urn:principal:umn.edu/owner")
@@ -484,7 +483,7 @@ class Testbed:
         """The scrape as sorted ``key value`` text lines."""
         return render_scrape(self.scrape())
 
-    # -- cluster telemetry (federated scrape / profiling / SLOs) -----------------------
+    # -- cluster telemetry (federated scrape / SLOs) ----------------------------------
 
     def telemetry_units(self) -> dict[str, Any]:
         """Every node serving ``telemetry.scrape`` (servers + directory
@@ -542,22 +541,6 @@ class Testbed:
             )
         self.collector.scrape_round()
         return self.collector.scrape()
-
-    def start_profiler(self, period: float = 0.001):
-        """Attach a sampling profiler to this world's tracer (implies tracing)."""
-        from repro.obs.profiler import SamplingProfiler
-
-        recorder = self.start_tracing()
-        if self.profiler is None:
-            self.profiler = SamplingProfiler(
-                self.tracer, self.kernel, period=period
-            )
-        self.profiler.start()
-        return self.profiler
-
-    def stop_profiler(self) -> None:
-        if self.profiler is not None:
-            self.profiler.stop()
 
     def slo_monitor(self):
         """An :class:`~repro.obs.slo.SLOMonitor` pre-wired with this world's

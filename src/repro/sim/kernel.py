@@ -29,9 +29,9 @@ class EventHandle:
 
     A *daemon* event (``daemon=True``) never keeps the simulation alive:
     :meth:`Kernel.run` stops once only daemon events remain in the
-    queue.  Periodic background machinery — telemetry scrapers, profiler
-    ticks, SLO sweeps — schedules itself as daemon so a world that has
-    finished its real work still quiesces.
+    queue.  Periodic background machinery — telemetry scrapers and SLO
+    sweeps — schedules itself as daemon so a world that has finished its
+    real work still quiesces.
     """
 
     __slots__ = (
@@ -224,7 +224,7 @@ class Kernel:
         """Run ``action(*args)`` every ``interval`` virtual seconds.
 
         The periodic tick hook behind continuous telemetry: metric
-        scrape rounds, profiler samples and SLO sweeps all ride this.
+        scrape rounds and SLO sweeps ride this.
         Daemon by default — a repeating foreground event would make
         ``run()`` non-terminating; pass ``daemon=False`` only together
         with ``run(until=...)``.

@@ -31,6 +31,7 @@ from typing import Any, Callable
 from repro.errors import (
     CircuitOpenError,
     NetworkError,
+    ReproError,
     RetryExhaustedError,
     SimulationError,
 )
@@ -85,6 +86,11 @@ class CircuitBreaker:
     ``reset_timeout`` virtual seconds pass, at which point the breaker
     half-opens and lets probes through.  A success closes it again; a
     failure while half-open re-opens it immediately.
+
+    A failure recorded with its ``cause`` counts once per failed attempt:
+    the exception object recorded last, shared by every caller that
+    joined one attempt, is not counted again, and neither is an error
+    marked ``joined`` in its context (a joiner whose own wait ran out).
     """
 
     def __init__(
@@ -102,6 +108,7 @@ class CircuitBreaker:
         self._failures = 0
         self._state = "closed"
         self._opened_at = 0.0
+        self._last_cause: BaseException | None = None
         self.times_opened = 0
 
     @property
@@ -125,8 +132,15 @@ class CircuitBreaker:
     def record_success(self) -> None:
         self._failures = 0
         self._state = "closed"
+        self._last_cause = None
 
-    def record_failure(self) -> None:
+    def record_failure(self, cause: BaseException | None = None) -> None:
+        if cause is not None:
+            if cause is self._last_cause or (
+                isinstance(cause, ReproError) and cause.context.get("joined")
+            ):
+                return
+            self._last_cause = cause
         self._failures += 1
         state = self.state
         if state == "half_open" or (
@@ -202,7 +216,7 @@ def call_with_retries(
         except retry_on as exc:
             last = exc
             if breaker is not None:
-                breaker.record_failure()
+                breaker.record_failure(exc)
             if _obs.TRACING:
                 # Retransmissions are span *events* on the current span,
                 # never fresh spans — a lossy transfer stays one hop in

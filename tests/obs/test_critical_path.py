@@ -5,7 +5,7 @@ from __future__ import annotations
 import pytest
 
 from repro.obs.recorder import SEGMENT_CATEGORIES, FlightRecorder
-from repro.obs.trace import Tracer
+from repro.obs.trace import SpanContext, Tracer
 from repro.util.clock import VirtualClock
 
 
@@ -68,6 +68,75 @@ def test_by_span_name_breakdown_sums_to_covered_time():
     cp = recorder.critical_path(root.trace_id)
     assert cp["by_span_name"]["transfer.send"] == pytest.approx(4.0)
     assert cp["by_span_name"]["secure.call"] == pytest.approx(1.0)
+
+
+def test_nested_spans_attribute_to_the_inner_stack():
+    clock, tracer, recorder = _world()
+    outer = _span(tracer, clock, "outer", 0.0, 4.0)
+    _span(tracer, clock, "inner", 1.0, 3.0, parent=outer)
+    cp = recorder.critical_path(outer.trace_id)
+    assert cp["stacks"]["outer;inner"] == pytest.approx(2.0)
+    assert cp["stacks"]["outer"] == pytest.approx(2.0)
+
+
+def test_gap_interval_belongs_to_no_stack():
+    clock, tracer, recorder = _world()
+    a = _span(tracer, clock, "agent.resident", 0.0, 1.0)
+    _span(tracer, clock, "rpc.call", 3.0, 4.0, parent=a.context)
+    cp = recorder.critical_path(a.trace_id)
+    assert cp["segments"]["gap"] == pytest.approx(2.0)
+    assert cp["stacks"] == {
+        "agent.resident": pytest.approx(1.0),
+        "agent.resident;rpc.call": pytest.approx(1.0),
+    }
+
+
+def test_stacks_plus_gap_sum_to_total():
+    clock, tracer, recorder = _world()
+    root = _span(tracer, clock, "agent.launch", 0.0, 3.0)
+    hop = _span(tracer, clock, "transfer.depart", 1.0, 2.5, parent=root)
+    _span(tracer, clock, "secure.call", 1.5, 2.0, parent=hop)
+    _span(tracer, clock, "report.send", 5.0, 7.25, parent=root.context)
+    cp = recorder.critical_path(root.trace_id)
+    gap = cp["segments"]["gap"]
+    assert gap == pytest.approx(2.0)
+    assert sum(cp["stacks"].values()) + gap == pytest.approx(cp["total"])
+    assert cp["total"] == pytest.approx(7.25)
+
+
+def test_child_admitted_on_another_host_carries_its_remote_parent():
+    clock, tracer, recorder = _world()
+    depart = _span(tracer, clock, "transfer.depart", 0.0, 4.0)
+    # The wire-carried context, as an arriving image delivers it.
+    ctx = SpanContext.from_attributes(depart.context.to_attributes())
+    clock.set(1.0)
+    admit = tracer.start_span("transfer.admit").adopt_context(ctx)
+    tracer.end_span(admit, at=3.0)
+    cp = recorder.critical_path(depart.trace_id)
+    assert cp["stacks"]["transfer.depart;transfer.admit"] == pytest.approx(2.0)
+
+
+def test_span_with_missing_parent_starts_its_own_stack():
+    clock, tracer, recorder = _world()
+    root = _span(tracer, clock, "agent.launch", 0.0, 4.0)
+    hop = _span(tracer, clock, "transfer.depart", 1.0, 3.0, parent=root)
+    leaf = _span(tracer, clock, "secure.call", 1.5, 2.5, parent=hop)
+    cp = recorder.critical_path([root, leaf])
+    assert cp["stacks"] == {
+        "agent.launch": pytest.approx(3.0),
+        "secure.call": pytest.approx(1.0),
+    }
+
+
+def test_forged_parent_cycle_ends_the_stack():
+    clock, tracer, recorder = _world()
+    clock.set(0.0)
+    admit = tracer.start_span("transfer.admit")
+    # An arriving image names the admit span itself as its parent.
+    admit.adopt_context(admit.context)
+    tracer.end_span(admit, at=1.0)
+    cp = recorder.critical_path([admit])
+    assert cp["stacks"] == {"transfer.admit": pytest.approx(1.0)}
 
 
 def test_category_prefix_table():

@@ -40,6 +40,7 @@ class TestWriteTable:
             ["name", "value"],
             [["alpha", 1234.5], ["beta", 0.25]],
             notes="a note",
+            headline=("alpha", 1234.5, "value"),
         )
         assert (tmp_path / "T0.txt").read_text() == text
         assert "== T0: a test table ==" in text
@@ -48,13 +49,11 @@ class TestWriteTable:
         assert "a note" in text
         assert "alpha" in capsys.readouterr().out
 
-    def test_headline_derived_from_first_numeric_cell(self, tmp_path, monkeypatch):
+    def test_headline_is_required(self, tmp_path, monkeypatch):
         monkeypatch.setattr(_common, "RESULTS_DIR", tmp_path)
-        _common.write_table("T2", "derived", ["name", "ns"], [["alpha", 7.5]])
-        payload = json.loads((tmp_path / "BENCH_T2.json").read_text())
-        assert (payload["metric"], payload["value"], payload["unit"]) == (
-            "alpha: ns", 7.5, "ns"
-        )
+        with pytest.raises(TypeError, match="headline"):
+            _common.write_table("T2", "unnamed", ["name", "ns"], [["alpha", 7.5]])
+        assert not (tmp_path / "BENCH_T2.json").exists()
 
     def test_explicit_headline_wins(self, tmp_path, monkeypatch):
         monkeypatch.setattr(_common, "RESULTS_DIR", tmp_path)
@@ -70,7 +69,9 @@ class TestWriteTable:
 
     def test_empty_rows(self, tmp_path, monkeypatch):
         monkeypatch.setattr(_common, "RESULTS_DIR", tmp_path)
-        text = _common.write_table("T1", "empty", ["col"], [])
+        text = _common.write_table(
+            "T1", "empty", ["col"], [], headline=("col", 0, "col")
+        )
         assert "== T1" in text
 
 
