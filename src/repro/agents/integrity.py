@@ -140,6 +140,12 @@ def genesis_tag(agent: str, home_site: str) -> bytes:
     return canonical_digest({"genesis": agent, "home": home_site})
 
 
+# The link fields its tag (and therefore its signature) covers, in order.
+_BODY_FIELDS = (
+    "hop", "origin", "destination", "state_digest", "timestamp", "prev_tag",
+)
+
+
 @dataclass(frozen=True, slots=True)
 class AppraisalLink:
     """One sealed hop: what ``origin`` vouched it sent to ``destination``."""
@@ -155,18 +161,14 @@ class AppraisalLink:
 
     def body(self) -> dict:
         """The fields the tag (and therefore the signature) covers."""
-        return {
-            "hop": self.hop,
-            "origin": self.origin,
-            "destination": self.destination,
-            "state_digest": self.state_digest,
-            "timestamp": self.timestamp,
-            "prev_tag": self.prev_tag,
-        }
+        return {name: getattr(self, name) for name in _BODY_FIELDS}
 
     def tag(self) -> bytes:
         """The link's chain tag: a digest of the sealed body."""
-        return _link_tag(self)
+        return _link_tag(
+            self.hop, self.origin, self.destination, self.state_digest,
+            self.timestamp, self.prev_tag,
+        )
 
     def to_state(self) -> dict:
         state = self.body()
@@ -218,15 +220,17 @@ register_serializable(AppraisalLink, intern=True)
 
 
 @functools.lru_cache(maxsize=4096)
-def _link_tag(link: AppraisalLink) -> bytes:
-    """Memoized chain tag.
+def _link_tag(*body: object) -> bytes:
+    """Memoized chain tag of one link body (:meth:`AppraisalLink.body`).
 
     A link's tag is recomputed many times over its life — once per chain
     walk at every downstream hop, once under every signature check, once
-    when the next link extends it — and the link is a frozen value type,
-    so the digest is cached by value.
+    when the next link extends it — and it is a pure function of the
+    body, so the digest is cached by the body's fields.  Keying on the
+    body rather than the whole link lets the signed link reuse the
+    digest its unsigned draft computed for the signature.
     """
-    return canonical_digest(link.body())
+    return canonical_digest(dict(zip(_BODY_FIELDS, body)))
 
 
 @functools.lru_cache(maxsize=4096)

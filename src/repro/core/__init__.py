@@ -30,7 +30,7 @@ from repro.core.access_protocol import AccessProtocol, BindingContext
 from repro.core.policy import PolicyRule, ProxyGrant, SecurityPolicy
 from repro.core.proxy import ResourceProxy, synthesize_proxy_class
 from repro.core.registry import ResourceRegistry
-from repro.core.domain_db import DomainDatabase, DomainRecord
+from repro.core.domain_db import DomainDatabase, DomainRecord, DomainTombstone
 from repro.core.binding import BindingService
 from repro.core.accounting import Meter, Tariff, UsageReport
 from repro.core.capability import check_confinement
@@ -60,6 +60,7 @@ __all__ = [
     "ResourceRegistry",
     "DomainDatabase",
     "DomainRecord",
+    "DomainTombstone",
     "BindingService",
     "Meter",
     "Tariff",

@@ -110,8 +110,10 @@ class _ProxyBucket:
         self.refs: list[weakref.ref[ResourceProxy]] = []
         # Agent URNs granted under this domain — the epoch keys to bump
         # on revocation, so *tokens* that rode away with dropped proxies
-        # die too, not just the live proxy objects.
-        self.holders: set[str] = set()
+        # die too, not just the live proxy objects.  A domain is one
+        # agent's residency, so this is almost always one name; a tuple
+        # keeps the bucket an ended residency leaves behind small.
+        self.holders: tuple[str, ...] = ()
 
     def add(self, proxy: ResourceProxy) -> None:
         self.tracked += 1
@@ -369,7 +371,8 @@ class AccessProtocol:
         if bucket is None:
             bucket = self._issued[domain_id] = _ProxyBucket()
         bucket.add(proxy)
-        bucket.holders.add(grantee)
+        if grantee not in bucket.holders:
+            bucket.holders += (grantee,)
         if context.server_domain_id not in self._proxy_admin_domains:
             self._proxy_admin_domains |= {context.server_domain_id}
         if redeemed:

@@ -77,6 +77,10 @@ class BindingService:
             self._contexts[domain_id] = context
         return context
 
+    def forget_domain(self, domain_id: str) -> None:
+        """Drop an ended domain's binding context (and its charge sink)."""
+        self._contexts.pop(domain_id, None)
+
     # -- step 1 -----------------------------------------------------------------
 
     def register_resource(self, resource: ResourceImpl) -> None:

@@ -10,7 +10,7 @@ reconstruction.
 
 from __future__ import annotations
 
-from typing import Any, Callable, Iterable
+from typing import Any, Callable, Iterable, Iterator
 
 from repro.obs.trace import Span, Tracer
 
@@ -53,6 +53,20 @@ PROTOCOL_STEP_NAMES: tuple[tuple[int, str], ...] = (
     (5, "protocol.record_binding"),
     (6, "proxy.invoke"),
 )
+
+
+def _lineage(span: Span, by_id: dict[str, Span]) -> Iterator[Span]:
+    """``span``, then each parent found in ``by_id``, innermost first.
+
+    Stops at a parent missing from ``by_id`` and at a repeat: an arriving
+    image's parent context is attacker-controlled and may close a cycle.
+    """
+    seen: set[str] = set()
+    current: Span | None = span
+    while current is not None and current.span_id not in seen:
+        seen.add(current.span_id)
+        yield current
+        current = by_id.get(current.parent_id)
 
 
 class FlightRecorder:
@@ -145,15 +159,10 @@ class FlightRecorder:
             for s in self.tracer.spans(include_open=True)
             if s.trace_id == descendant.trace_id
         }
-        cursor = descendant
-        while cursor.parent_id is not None:
-            if cursor.parent_id == ancestor.span_id:
-                return True
-            nxt = by_id.get(cursor.parent_id)
-            if nxt is None:
-                return False
-            cursor = nxt
-        return False
+        by_id.setdefault(ancestor.span_id, ancestor)
+        chain = _lineage(descendant, by_id)
+        next(chain)  # the descendant itself
+        return any(span.span_id == ancestor.span_id for span in chain)
 
     def assert_causal_order(self, spans: Iterable[Span]) -> None:
         """Assert the given spans share a trace and start in list order.
@@ -255,14 +264,9 @@ class FlightRecorder:
             }
         by_id = {s.span_id: s for s in spans}
 
-        def stack_of(span: Span | None) -> str:
-            # Stops at a repeat: an arriving image's parent context is
-            # attacker-controlled and may close a cycle.
-            names: dict[str, str] = {}
-            while span is not None and span.span_id not in names:
-                names[span.span_id] = span.name
-                span = by_id.get(span.parent_id)
-            return ";".join(reversed(names.values()))
+        def stack_of(span: Span) -> str:
+            names = [s.name for s in _lineage(span, by_id)]
+            return ";".join(reversed(names))
 
         start = min(s.start for s in closed)
         end = max(s.end for s in closed)

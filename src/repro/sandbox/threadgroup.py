@@ -13,7 +13,6 @@ callbacks; tests and micro-benchmarks use :func:`enter_group` directly.
 from __future__ import annotations
 
 import threading
-import weakref
 from contextlib import contextmanager
 from typing import TYPE_CHECKING, Any, Callable, Iterator
 
@@ -29,17 +28,17 @@ _tls = threading.local()
 class ThreadGroup:
     """A named group; parent links form the server>agents hierarchy."""
 
-    __slots__ = ("name", "parent", "domain", "_members")
+    __slots__ = ("name", "parent", "domain", "_members", "__weakref__")
 
     def __init__(self, name: str, parent: "ThreadGroup | None" = None) -> None:
         self.name = name
         self.parent = parent
         self.domain: "ProtectionDomain | None" = None  # backref, set by domain
-        # Weak refs to the simulated threads running in this group, so
-        # group-wide control (terminate a whole agent, runaway kills)
-        # reaches worker threads too — not just the resident's main
-        # thread.  Weak so finished threads do not pin memory.
-        self._members: list["weakref.ref[SimThread]"] = []
+        # The unfinished simulated threads of this group, so group-wide
+        # control (terminate a whole agent, runaway kills) reaches worker
+        # threads too — not just the resident's main thread.  Each one
+        # leaves as it finishes, so finished threads do not pin memory.
+        self._members: dict["SimThread", None] = {}
 
     def is_within(self, other: "ThreadGroup") -> bool:
         """True if this group equals ``other`` or descends from it."""
@@ -53,19 +52,15 @@ class ThreadGroup:
     def adopt(self, thread: "SimThread") -> None:
         """Track ``thread`` as a member (section 5.3: "all threads
         created by the agent belong to the same thread group")."""
-        self._members.append(weakref.ref(thread))
+        self._members[thread] = None
+        thread.on_finish(self._release)
+
+    def _release(self, thread: "SimThread") -> None:
+        self._members.pop(thread, None)
 
     def live_threads(self) -> list["SimThread"]:
-        """The group's currently alive simulated threads (prunes dead)."""
-        alive: list["SimThread"] = []
-        keep: list["weakref.ref[SimThread]"] = []
-        for ref in self._members:
-            thread = ref()
-            if thread is not None and thread.is_alive:
-                alive.append(thread)
-                keep.append(ref)
-        self._members = keep
-        return alive
+        """The group's currently alive simulated threads."""
+        return [thread for thread in self._members if thread.is_alive]
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"ThreadGroup({self.name!r})"

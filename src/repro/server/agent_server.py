@@ -95,15 +95,14 @@ BREAKER_FAILURE_THRESHOLD = 8
 BREAKER_RESET_TIMEOUT = 60.0
 
 
-def _revoke_holder_tokens(domain: ProtectionDomain) -> None:
+def _revoke_holder_tokens(agent: URN) -> None:
     """Kill the capability tokens of an agent that stopped existing.
 
     One epoch bump keyed on the agent's stable URN: any token it was
     minted, on this server or carried elsewhere, goes stale and fails
     closed at its next use.
     """
-    if domain.credentials is not None:
-        default_epoch_registry().bump_holder(str(domain.credentials.agent))
+    default_epoch_registry().bump_holder(str(agent))
 
 
 class AgentServer:
@@ -343,7 +342,12 @@ class AgentServer:
             self.admission.validate(image)
             return self._start_resident(image)
 
-    def _start_resident(self, image: AgentImage) -> str:
+    def _start_resident(
+        self, image: AgentImage, state_bytes: bytes | None = None
+    ) -> str:
+        """Admit ``image`` as a resident; ``state_bytes``, when given, is
+        ``encode(image.state)`` (the received span, reused by the
+        admission checkpoint)."""
         domain_id = self._domain_ids.next()
         group = ThreadGroup(f"{self.name}/{domain_id}")
         namespace = None
@@ -387,7 +391,7 @@ class AgentServer:
         if self.recovery is not None:
             # Hop-boundary checkpoint: escrow the freshly admitted image
             # at the agent's home site before it runs a single step.
-            self.recovery.on_admission(image)
+            self.recovery.on_admission(image, state_bytes)
         return domain_id
 
     def _enforce_lifetime(self, domain_id: str, thread: SimThread) -> None:
@@ -821,8 +825,11 @@ class AgentServer:
         thread = self._threads.get(domain_id)
         victims = [thread] if thread is not None and thread.is_alive else []
         if domain_id in self.domain_db:
-            group = self.domain_db.get(domain_id).domain.thread_group
-            victims += [t for t in group.live_threads() if t is not thread]
+            # An ended residency's group lives on only through threads
+            # still running in it (a departed agent's lingering worker).
+            group = self.domain_db.get(domain_id).thread_group
+            if group is not None:
+                victims += [t for t in group.live_threads() if t is not thread]
         for victim in victims:
             if victim.is_alive:
                 victim.kill()
@@ -836,12 +843,16 @@ class AgentServer:
         Every way a residency ends (retirement, eviction, termination,
         crash, drain) undoes the same bookkeeping here.  Callers keep
         their own audit record and tell the recovery plane, if at all.
+        The domain record becomes a tombstone and the binding context is
+        dropped, so nothing here keeps the domain, its thread group,
+        namespace or proxies alive.
         """
         with self.domain_db.privileged():
             if domain_id in self.domain_db:
                 self.domain_db.set_status(domain_id, status)
                 if revoke:
-                    _revoke_holder_tokens(self.domain_db.get(domain_id).domain)
+                    _revoke_holder_tokens(self.domain_db.get(domain_id).agent)
+        self.binding.forget_domain(domain_id)
         # Ephemeral self-registrations (mailboxes) die with the agent;
         # installed services (section 5.5) persist.
         self.registry.remove_ephemeral_of(domain_id)
@@ -1025,7 +1036,7 @@ class AgentServer:
                     # recording earlier would let an image refused for other
                     # reasons poison its own legitimate retry.
                     self.integrity.remember(chain[-1].tag())
-            self._start_resident(image)
+            self._start_resident(image, state_bytes)
             reply = encode({"status": "accepted"})
             if tid is not None:
                 self._transfer_dedup.put((peer, tid), reply)
@@ -1076,7 +1087,12 @@ class AgentServer:
     # ------------------------------------------------------------------
 
     def resident_status(self, agent: URN) -> dict[str, Any]:
-        """Local status lookup (what the status handler serves remotely)."""
+        """Local status lookup (what the status handler serves remotely).
+
+        Answers for a running agent and for one whose residency is still
+        among the server's remembered tombstones; an agent older than
+        that ring raises :class:`~repro.errors.UnknownNameError`.
+        """
         record = self.domain_db.by_agent(agent)
         return {
             "agent": str(record.agent),
@@ -1085,7 +1101,7 @@ class AgentServer:
             "owner": str(record.owner),
             "arrived_at": record.arrived_at,
             "charges": record.charges,
-            "bindings": len(record.bindings),
+            "bindings": record.binding_count,
         }
 
     def _on_status(self, peer: str, body: bytes) -> bytes:

@@ -178,13 +178,17 @@ class RecoveryCoordinator:
             )
         return escrow
 
-    def on_admission(self, image: AgentImage) -> None:
+    def on_admission(
+        self, image: AgentImage, state_bytes: bytes | None = None
+    ) -> None:
         """Checkpoint a freshly admitted resident (hop boundary).
 
         Runs in kernel event context (the arrival path): the escrow is
         built here, the network push is deferred to the aux sender.
+        ``state_bytes`` is ``encode(image.state)`` when the arrival
+        already holds it (the received span).
         """
-        self._checkpoint(image, image.state)
+        self._checkpoint(image, image.state, state_bytes)
 
     def _checkpoint(
         self,

@@ -597,27 +597,25 @@ class ResourceSupervisor:
         deferred kill fired) leaves its record and the counters alone.
         """
         server = self.server
+        try:
+            group = server.domain_db.get(domain_id).thread_group
+        except ReproError:
+            group = None
         if not server.terminate_resident(domain_id):
             return False
         revoked = 0
-        try:
-            record = server.domain_db.get(domain_id)
-        except ReproError:
-            record = None
-        if record is not None:
+        if group is not None:
             # Revocation runs in the server's protection domain — the
             # reference monitor audits the group-level intervention and
-            # each resource's per-domain index does the O(domain) sweep.
+            # each resource's per-domain index does the O(domain) sweep
+            # (a resource that never granted to the domain returns 0).
             with enter_group(server.server_domain.thread_group):
                 server.security_manager.check_group_modify(
-                    record.domain.thread_group, detail=f"runaway kill: {reason}"
+                    group, detail=f"runaway kill: {reason}"
                 )
-                for resource_name in {b.resource for b in record.bindings}:
-                    try:
-                        resource = server.registry.lookup(resource_name)
-                    except ReproError:
-                        continue
-                    revoked += resource.revoke_for(domain_id)
+                registry = server.registry
+                for name in registry.names():
+                    revoked += registry.lookup(name).revoke_for(domain_id)
         self.stats.add("agents_killed_runaway")
         server.stats.add("agents_killed_runaway")
         server.audit.record(
@@ -636,19 +634,22 @@ class ResourceSupervisor:
     # -- leases ---------------------------------------------------------------
 
     def sweep_leases(self) -> dict[str, int]:
-        """Re-validate every recorded grant against the kernel clock.
+        """Re-validate every live grant against the kernel clock.
 
         Run on :meth:`AgentServer.restart`: unexpired leases survive the
         crash (their proxies keep working), lapsed ones are revoked —
-        which also finalizes their meters.  Returns the sweep tally.
+        which also finalizes their meters.  The grants are the proxies
+        still alive in each registered resource's per-domain index,
+        whether or not their residency has ended.  Returns the sweep
+        tally.
         """
         now = self.clock.now()
         swept = revalidated = 0
         server = self.server
+        registry = server.registry
         with enter_group(server.server_domain.thread_group):
-            for record in server.domain_db.records():
-                for binding in record.bindings:
-                    proxy = binding.proxy
+            for name in registry.names():
+                for proxy in registry.lookup(name).issued_proxies():
                     info = proxy.proxy_info()
                     if info["revoked"]:
                         continue
@@ -657,9 +658,9 @@ class ResourceSupervisor:
                         proxy.revoke()
                         swept += 1
                         server.audit.record(
-                            record.domain_id,
+                            info["grantee"],
                             "supervisor.lease_sweep",
-                            str(binding.resource),
+                            str(name),
                             False,
                             f"lease lapsed at t={expires_at}",
                         )

@@ -126,6 +126,7 @@ class SimThread:
         self._interrupt_exc: BaseException | None = None
         self._waiting_on: WaitTarget | None = None
         self._joiners: list["SimThread"] = []
+        self._finish_hooks: list[Callable[["SimThread"], None]] | None = None
         kernel._register_thread(self)
 
     # -- lifecycle ------------------------------------------------------------
@@ -169,6 +170,9 @@ class SimThread:
             self.state = ThreadState.DONE
         finally:
             self._target = self._resume = None
+            hooks, self._finish_hooks = self._finish_hooks, None
+            for hook in hooks or ():
+                hook(self)
             self._wake_joiners()
             self.kernel._retire_thread(self)
             # Park before passing the baton on: once it has moved, the
@@ -181,6 +185,12 @@ class SimThread:
             # return True (keep the baton).
             self.kernel._hand_off(self)
         return pooled
+
+    def on_finish(self, hook: Callable[["SimThread"], None]) -> None:
+        """Call ``hook(thread)`` when this thread finishes, however it ends."""
+        if self._finish_hooks is None:
+            self._finish_hooks = []
+        self._finish_hooks.append(hook)
 
     def _wake_joiners(self) -> None:
         joiners, self._joiners = self._joiners, []

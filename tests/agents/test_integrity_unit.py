@@ -87,6 +87,31 @@ def test_honest_hop_verifies_and_replay_is_refused(hosts, image):
     assert exc.value.context["reason"] == "replayed"
 
 
+def test_a_sealed_link_is_digested_once(hosts, image, monkeypatch):
+    """The signed link reuses the tag its unsigned draft computed for the
+    signature: sealing and then verifying the hop digests its body once."""
+    from repro.agents import integrity
+
+    a, b, _ = hosts
+    bodies = []
+    digest = integrity.canonical_digest
+
+    def counting(value, *args, **kwargs):
+        if isinstance(value, dict) and value.keys() == set(
+            AppraisalLink.__dataclass_fields__
+        ) - {"certificate", "signature"}:
+            bodies.append(value)
+        return digest(value, *args, **kwargs)
+
+    monkeypatch.setattr(integrity, "canonical_digest", counting)
+    integrity._link_tag.cache_clear()
+    integrity._link_signature_ok.cache_clear()
+    hopped = sealed_hop(a, image, B)
+    b.verify_arrival(hopped, A)
+    [link] = hopped.attributes[APPRAISAL_ATTRIBUTE]
+    assert bodies == [link.body()]
+
+
 def test_state_tamper_after_seal_is_detected(hosts, image):
     a, b, _ = hosts
     outgoing = sealed_hop(a, image, B)

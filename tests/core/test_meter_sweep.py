@@ -50,6 +50,7 @@ def metered_pipe(bed: Testbed) -> Buffer:
 class SweptConsumer(Agent):
     def run(self):
         pipe = self.host.get_resource(PIPE)
+        OUTCOMES["proxy"] = pipe
         item = pipe.get()  # blocks until the producer shows up at t=10
         OUTCOMES["item"] = item
         try:
@@ -90,8 +91,11 @@ def test_revocation_bills_partial_inflight_time_and_freezes_the_meter():
     assert OUTCOMES["item"] == "finally"
     assert OUTCOMES["next_call"] == "denied"
 
+    # The finished residency's record is a tombstone (no bindings); the
+    # proxy is the one the consumer held.
     record = bed.home.domain_db.by_agent(consumer.name)
-    proxy = record.bindings[0].proxy
+    assert record.binding_count == 1
+    proxy = OUTCOMES["proxy"]
     assert proxy.proxy_info()["revoked"] is True
     # Billed exactly the 5 seconds used before the sweep — not the full
     # 10-second occupancy, and not 15 (sweep + finally double-charge).

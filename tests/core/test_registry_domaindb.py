@@ -5,7 +5,7 @@ from __future__ import annotations
 import pytest
 
 from repro.apps.buffer import Buffer
-from repro.core.domain_db import DomainDatabase
+from repro.core.domain_db import TOMBSTONE_RING, DomainDatabase, DomainTombstone
 from repro.core.policy import SecurityPolicy
 from repro.core.registry import ResourceRegistry
 from repro.core.resource import ResourceImpl
@@ -18,7 +18,8 @@ from repro.errors import (
 )
 from repro.naming.urn import URN
 from repro.sandbox.security_manager import SecurityManager
-from repro.sandbox.threadgroup import enter_group
+from repro.sandbox.domain import ProtectionDomain
+from repro.sandbox.threadgroup import ThreadGroup, enter_group
 
 RES = URN.parse("urn:resource:store.com/buf")
 OWNER = URN.parse("urn:principal:store.com/admin")
@@ -163,6 +164,58 @@ class TestDomainDatabase:
             with pytest.raises(UnknownNameError):
                 db.remove(domain.domain_id)
         assert len(db) == 0
+
+    def test_ended_residency_leaves_a_tombstone(self, env):
+        db = DomainDatabase(env.clock)
+        domain = env.agent_domain(Rights.all())
+        record = self.admit(env, db, domain)
+        did = domain.domain_id
+        with db.privileged():
+            db.record_binding(did, RES, object())
+            db.add_charge(did, 1.5)
+            db.set_status(did, "departed")
+        tomb = db.get(did)
+        assert isinstance(tomb, DomainTombstone)
+        assert not hasattr(tomb, "domain") and not hasattr(tomb, "bindings")
+        assert (tomb.agent, tomb.owner, tomb.status, tomb.charges) == (
+            record.agent, record.owner, "departed", 1.5,
+        )
+        assert tomb.binding_count == 1
+        assert db.residents() == []
+        # Held weakly: the group outlives the residency only while
+        # something else (here, the domain) still holds it.
+        assert tomb.thread_group is domain.thread_group
+        assert db.by_agent(record.agent) is tomb
+        with db.privileged():
+            # A meter settled after the end still charges, a late grant
+            # is counted, and recovery may rewrite the final status.
+            db.add_charge(did, 0.5)
+            db.record_binding(did, RES, object())
+            db.set_status(did, "terminated")
+            with pytest.raises(ValueError):
+                db.set_status(did, "running")
+        assert (tomb.charges, tomb.binding_count) == (2.0, 2)
+        assert db.status_counts() == {
+            "running": 0, "departed": 0, "completed": 0, "terminated": 1,
+        }
+
+    def test_ring_forgets_the_oldest_tombstone(self, env):
+        db = DomainDatabase(env.clock)
+        credentials = env.agent_domain(Rights.all()).credentials
+        for i in range(TOMBSTONE_RING + 1):
+            domain = ProtectionDomain(
+                f"d{i}", "agent", ThreadGroup(f"g{i}"), credentials=credentials
+            )
+            self.admit(env, db, domain)
+            with db.privileged():
+                db.set_status(domain.domain_id, "completed")
+        assert len(db) == TOMBSTONE_RING
+        assert "d0" not in db and "d1" in db
+        with pytest.raises(UnknownNameError):
+            db.get("d0")
+        assert db.status_counts()["completed"] == TOMBSTONE_RING + 1
+        assert db.by_agent(credentials.agent).domain_id == "d1"
+        assert len(db.records_of(credentials.agent)) == TOMBSTONE_RING
 
     def test_unknown_queries(self, env):
         db = DomainDatabase(env.clock)

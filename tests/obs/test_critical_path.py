@@ -139,6 +139,22 @@ def test_forged_parent_cycle_ends_the_stack():
     assert cp["stacks"] == {"transfer.admit": pytest.approx(1.0)}
 
 
+@pytest.mark.timeout(5)
+def test_is_ancestor_stops_at_a_forged_parent_cycle():
+    clock, tracer, recorder = _world()
+    root = _span(tracer, clock, "agent.launch", 0.0, 4.0)
+    clock.set(1.0)
+    admit = tracer.start_span("transfer.admit", parent=root)
+    assert recorder.is_ancestor(root, admit)
+    # An arriving image names the admit span itself as its parent, in
+    # the root's trace: the parent chain is now a one-span cycle.
+    admit.adopt_context(admit.context)
+    tracer.end_span(admit, at=2.0)
+    assert admit.trace_id == root.trace_id
+    assert recorder.is_ancestor(root, admit) is False
+    assert recorder.is_ancestor(admit, admit) is False
+
+
 def test_category_prefix_table():
     from repro.obs.recorder import categorize_span
 

@@ -39,8 +39,8 @@ def test_honest_tour_chain_verifies_end_to_end(world):
     # Spy on homecomings only — the launch residency already started.
     returned = []
     original_start = home._start_resident
-    home._start_resident = lambda img: (returned.append(img),
-                                        original_start(img))[1]
+    home._start_resident = lambda img, *rest: (returned.append(img),
+                                               original_start(img, *rest))[1]
     w.run(detect_deadlock=False)
 
     sts = statuses_of(w.bed, image.name)

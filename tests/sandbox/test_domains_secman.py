@@ -82,6 +82,25 @@ class TestThreadGroups:
         assert seen == [g]
         assert current_group() is None
 
+    def test_finished_thread_leaves_its_group_at_once(self):
+        from repro.sim.kernel import Kernel
+        from repro.sim.threads import SimThread
+
+        kernel = Kernel()
+        g = ThreadGroup("g")
+        short = SimThread(kernel, wrap_in_group(g, lambda: None), name="short")
+        long = SimThread(
+            kernel, wrap_in_group(g, lambda: long.sleep(10.0)), name="long"
+        )
+        for thread in (short, long):
+            g.adopt(thread)
+            thread.start()
+        kernel.run(until=5.0)
+        # No live_threads() call in between: the member set itself shrank.
+        assert list(g._members) == [long]
+        kernel.run()
+        assert not g._members and g.live_threads() == []
+
 
 class TestProtectionDomain:
     def test_group_backref(self, server_domain):

@@ -22,9 +22,14 @@ from repro.credentials.rights import Rights
 from repro.errors import TransferError
 from repro.naming.urn import URN
 from repro.obs.slo import healed_conservation_residual
+from repro.sandbox.threadgroup import current_group
 from repro.server.supervisor import SupervisorConfig
 from repro.server.testbed import Testbed
 from repro.util.retry import RetryPolicy
+
+# Each resident's thread group, captured from inside it: a finished
+# residency's record no longer holds its domain.
+GROUPS: dict[str, object] = {}
 
 GUARDED = "urn:resource:site0.net/guarded"
 
@@ -53,6 +58,7 @@ class WorkerTourist(DrainTourist):
     """Leaves a worker sleeping in its thread group at every stop."""
 
     def visit(self, stop):
+        GROUPS[self.host.server_name()] = current_group()
         self.host.spawn_thread(lambda: self.host.sleep(10_000.0))
         super().visit(stop)
 
@@ -127,7 +133,7 @@ def test_drain_kills_the_residents_workers():
     bed.run(until=300.0, detect_deadlock=False)
     assert s1.stats["drained_out"] == 1
     [record] = s1.domain_db.records_of(image.name)
-    assert record.domain.thread_group.live_threads() == []
+    assert GROUPS[s1.name].live_threads() == []
 
 
 def test_crash_forgets_supervisor_watches():

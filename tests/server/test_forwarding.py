@@ -105,9 +105,17 @@ def test_delegation_visible_in_credential_chain():
     bed.home.forward_restriction = Rights.of("Buffer.get", "Buffer.size")
     agent = HopAndUse()
     agent.hops = [bed.servers[1].name]
+    # The credentials server 1 admitted the agent with (its finished
+    # residency's record no longer holds the domain).
+    admitted = []
+    start_resident = bed.servers[1]._start_resident
+    bed.servers[1]._start_resident = lambda img, *rest: (
+        admitted.append(img), start_resident(img, *rest)
+    )[1]
     image = bed.launch(agent, Rights.of("Buffer.*"))
     bed.run()
-    record = bed.servers[1].domain_db.by_agent(image.name)
-    creds = record.domain.credentials
+    [arrival] = admitted
+    assert arrival.name == image.name
+    creds = arrival.credentials
     assert len(creds.links) == 1
     assert str(creds.links[0].delegator) == bed.home.name

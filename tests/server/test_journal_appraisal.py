@@ -64,8 +64,8 @@ def admitted_spy(server):
     """Capture every image the server actually starts hosting."""
     admitted = []
     original = server._start_resident
-    server._start_resident = lambda img: (admitted.append(img),
-                                          original(img))[1]
+    server._start_resident = lambda img, *rest: (admitted.append(img),
+                                                 original(img, *rest))[1]
     return admitted
 
 

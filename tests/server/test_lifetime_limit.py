@@ -7,8 +7,13 @@ from repro.apps.buffer import Buffer
 from repro.core.policy import PolicyRule, SecurityPolicy
 from repro.credentials.rights import Rights
 from repro.naming.urn import URN
+from repro.sandbox.threadgroup import current_group
 from repro.server.supervisor import SupervisorConfig
 from repro.server.testbed import Testbed
+
+# Each resident's thread group, captured from inside it: a finished
+# residency's record no longer holds its domain.
+GROUPS: dict[str, object] = {}
 
 GUARDED = "urn:resource:site0.net/guarded"
 
@@ -27,6 +32,7 @@ class SquatterWithWorker(Agent):
     """Leaves a worker in its thread group sleeping forever."""
 
     def run(self):
+        GROUPS[str(self.name)] = current_group()
         self.host.spawn_thread(lambda: self.host.sleep(10_000.0))
         self.host.sleep(10_000.0)
         self.complete("finally")
@@ -66,8 +72,7 @@ def test_eviction_kills_the_squatters_workers():
     # Stop well before the worker's own sleep would end it.
     bed.run(until=120.0, detect_deadlock=False)
     assert bed.home.stats["agents_killed_lifetime"] == 1
-    record = bed.home.domain_db.by_agent(image.name)
-    assert record.domain.thread_group.live_threads() == []
+    assert GROUPS[str(image.name)].live_threads() == []
 
 
 def test_eviction_forgets_the_supervisor_watch():

@@ -65,6 +65,7 @@ class RunawayAgent(Agent):
 
     def run(self):
         proxy = self.host.get_resource(WEDGY)
+        OUTCOMES["runaway_proxy"] = proxy
         for _ in range(50):
             try:
                 proxy.size()
@@ -187,9 +188,11 @@ def test_wedged_resource_and_runaway_are_contained():
     assert len(overruns) == supervisor.stats["invocation_deadline_overruns"] >= 3
 
     # ... and its proxies were revoked through the per-domain index.
+    # The ended residency's record is a tombstone: it counts the one
+    # binding, and the proxy is the one the runaway held.
     record = bed.home.domain_db.by_agent(runaway.name)
-    assert record.bindings
-    assert all(b.proxy.proxy_info()["revoked"] for b in record.bindings)
+    assert record.binding_count == 1
+    assert OUTCOMES["runaway_proxy"].proxy_info()["revoked"]
 
     # Mid-window callers were shed fast with structured context.
     assert OUTCOMES["witness"] == "quarantined"
@@ -373,7 +376,9 @@ class OverBudgetQuery(Agent):
         self.linger = 0.0
 
     def run(self):
-        self.host.get_resource(PAID).query("*")
+        proxy = self.host.get_resource(PAID)
+        OUTCOMES["budget_proxy"] = proxy
+        proxy.query("*")
         if self.linger:
             self.host.sleep(self.linger)
         self.complete()
@@ -425,5 +430,5 @@ def test_budget_kill_contains_a_blocked_agent():
     kills = bed.home.audit.records(operation="agent.runaway_kill")
     assert len(kills) == 1 and "1 grant(s) revoked" in kills[0].detail
     record = bed.home.domain_db.by_agent(image.name)
-    assert record.bindings
-    assert all(b.proxy.proxy_info()["revoked"] for b in record.bindings)
+    assert record.binding_count == 1
+    assert OUTCOMES["budget_proxy"].proxy_info()["revoked"]
