@@ -39,7 +39,6 @@ from repro.core.token import (
     RING_TRUSTED,
     RING_UNTRUSTED,
     RING_VERIFIED,
-    default_token_authority,
 )
 from repro.credentials.rights import Rights
 from repro.naming.urn import URN
@@ -128,16 +127,16 @@ def test_warm_call_by_ring(benchmark, world, ring):
 
 
 def test_token_validate_warm(benchmark, world):
-    _, _, proxy = proxy_at_ring(world, RING_VERIFIED)
+    buf, _, proxy = proxy_at_ring(world, RING_VERIFIED)
     token = proxy.capability_token()
-    authority = default_token_authority()
+    authority = buf._authority()
     benchmark(authority.authenticate, token)
 
 
 def test_token_validate_cold(benchmark, world):
-    _, _, proxy = proxy_at_ring(world, RING_VERIFIED)
+    buf, _, proxy = proxy_at_ring(world, RING_VERIFIED)
     token = proxy.capability_token()
-    authority = default_token_authority()
+    authority = buf._authority()
 
     def cold():
         authority._seen.clear()
@@ -175,7 +174,7 @@ def build_sweep_rows(world, sweep=SWEEP):
 def token_path_notes(world) -> str:
     buf, domain, proxy = proxy_at_ring(world, RING_VERIFIED)
     token = proxy.capability_token()
-    authority = default_token_authority()
+    authority = buf._authority()
     context = ring_context(world, domain, RING_VERIFIED)
     warm_validate = time_op(lambda: authority.authenticate(token),
                             target_seconds=0.02)
@@ -258,9 +257,9 @@ def run_quick() -> int:
                 f"{ring} @ {n.strip()}: mean {mean_ns} ns/call"
                 f" > {QUICK_MAX_WARM_CALL_NS:,.0f}"
             )
-    _, _, proxy = proxy_at_ring(world, RING_VERIFIED)
+    buf, _, proxy = proxy_at_ring(world, RING_VERIFIED)
     token = proxy.capability_token()
-    authority = default_token_authority()
+    authority = buf._authority()
     warm_ns = time_op(lambda: authority.authenticate(token),
                       target_seconds=0.02)
     print(f"warm token validate: {warm_ns:.0f} ns")

@@ -45,6 +45,7 @@ import random
 from dataclasses import dataclass
 from repro.agents.itinerary import Itinerary, ItineraryCommitment
 from repro.agents.transfer import AgentImage
+from repro.credentials.cache import CredentialVerificationCache
 from repro.crypto.cert import Certificate
 from repro.crypto.keys import KeyPair
 from repro.crypto.mac import HmacKey
@@ -52,9 +53,7 @@ from repro.crypto.trust import TrustAnchor
 from repro.errors import (
     AgentIntegrityError,
     CredentialError,
-    CredentialExpiredError,
     SerializationError,
-    SignatureError,
 )
 from repro.sim.monitor import Counter
 from repro.util.clock import Clock
@@ -233,21 +232,6 @@ def _link_tag(*body: object) -> bytes:
     return canonical_digest(dict(zip(_BODY_FIELDS, body)))
 
 
-@functools.lru_cache(maxsize=4096)
-def _link_signature_ok(link: AppraisalLink) -> bool:
-    """Memoized signature verdict for one (immutable) link.
-
-    Signature math is time-independent: the same link value verifies the
-    same way forever, and every server along a tour re-checks every link
-    it carries.  Both verdicts are cached — a forged link stays forged.
-    """
-    try:
-        link.certificate.public_key.verify(link.tag(), link.signature)
-    except SignatureError:
-        return False
-    return True
-
-
 class HostQuarantine:
     """Hosts this server refuses transfers from, with expiry.
 
@@ -302,7 +286,9 @@ class IntegrityAuthority:
 
     Owns the host's sealing identity (its key pair + certificate), the
     home-side itinerary MAC key, the replay record of chain tips this
-    server already admitted, and the host quarantine.
+    server already admitted, and the host quarantine.  Certificate and
+    link-signature verdicts go to ``verdicts``, the host's one
+    verification cache.
     """
 
     def __init__(
@@ -314,12 +300,18 @@ class IntegrityAuthority:
         trust_anchor: TrustAnchor,
         clock: Clock,
         rng: random.Random,
+        verdicts: CredentialVerificationCache | None = None,
     ) -> None:
         self.name = name
         self.keys = keys
         self.certificate = certificate
         self.trust_anchor = trust_anchor
         self.clock = clock
+        # The host's verdict cache: a certificate or link signature is
+        # RSA-checked once per host, never on the word of another host.
+        if verdicts is None:
+            verdicts = CredentialVerificationCache()
+        self.verdicts = verdicts
         self.quarantine = HostQuarantine(clock)
         self.stats = Counter()
         # Home-side itinerary commitments are sealed under a key that
@@ -336,38 +328,6 @@ class IntegrityAuthority:
         self._seen_tips: collections.OrderedDict[bytes, float] = (
             collections.OrderedDict()
         )
-        # Signature-checked certificates (a federation has few sealing
-        # hosts, so the same certificates recur in every chain).  The
-        # validity window and the trust anchor's version are re-checked
-        # on every hit — only the signature math is cached.
-        self._validated_certs: set[Certificate] = set()
-        self._validated_under = getattr(trust_anchor, "trust_version", 0)
-
-    def _validate_certificate(self, certificate: Certificate) -> None:
-        """``trust_anchor.validate`` with the RSA work memoized.
-
-        Raises :class:`~repro.errors.CredentialError` exactly as the
-        anchor would; a cache hit still re-checks the validity window
-        (time moves) and is discarded wholesale when the anchor's trust
-        version changes (anchors can be added or removed).
-        """
-        version = getattr(self.trust_anchor, "trust_version", 0)
-        if version != self._validated_under:
-            self._validated_certs.clear()
-            self._validated_under = version
-        if certificate in self._validated_certs:
-            now = self.clock.now()
-            if not (certificate.not_before <= now <= certificate.not_after):
-                raise CredentialExpiredError(
-                    f"certificate for {certificate.subject!r} not valid at "
-                    f"t={now} (window [{certificate.not_before}, "
-                    f"{certificate.not_after}])"
-                )
-            return
-        self.trust_anchor.validate(certificate)
-        if len(self._validated_certs) >= 256:
-            self._validated_certs.clear()
-        self._validated_certs.add(certificate)
 
     # -- sealing (sender side) ---------------------------------------------
 
@@ -494,6 +454,7 @@ class IntegrityAuthority:
                 fingerprint=fingerprint,
             )
         prev = genesis_tag(agent, image.home_site)
+        tags = []
         last_ts = float("-inf")
         for i, link in enumerate(chain):
             if link.hop != i:
@@ -523,6 +484,7 @@ class IntegrityAuthority:
                 )
             last_ts = link.timestamp
             prev = link.tag()
+            tags.append(prev)
         # Hop-to-hop linkage: each sealed destination must be the next
         # sealer (the last one is this server, checked below).  A pair of
         # colluding hosts that diverts an agent off its sealed path is
@@ -553,7 +515,8 @@ class IntegrityAuthority:
                 "arriving state does not match the sealed digest",
                 fingerprint=fingerprint,
             )
-        for i, link in enumerate(chain):
+        now = self.clock.now()
+        for i, (link, tag) in enumerate(zip(chain, tags)):
             if link.certificate.subject != link.origin:
                 raise reject(
                     "impostor-cert",
@@ -562,14 +525,18 @@ class IntegrityAuthority:
                     fingerprint=fingerprint,
                 )
             try:
-                self._validate_certificate(link.certificate)
+                self.verdicts.validate(
+                    link.certificate, self.trust_anchor, now
+                )
             except CredentialError as exc:
                 raise reject(
                     "untrusted-cert",
                     f"link {i} certificate failed validation: {exc}",
                     fingerprint=fingerprint,
                 ) from exc
-            if not _link_signature_ok(link):
+            if not self.verdicts.signature_ok(
+                link.certificate.public_key, tag, link.signature
+            ):
                 raise reject(
                     "bad-signature",
                     f"link {i} signature does not verify",

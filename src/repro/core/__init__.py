@@ -41,8 +41,6 @@ from repro.core.token import (
     CapabilityToken,
     EpochRegistry,
     TokenAuthority,
-    default_epoch_registry,
-    default_token_authority,
 )
 
 __all__ = [
@@ -69,8 +67,6 @@ __all__ = [
     "CapabilityToken",
     "TokenAuthority",
     "EpochRegistry",
-    "default_token_authority",
-    "default_epoch_registry",
     "RING_TRUSTED",
     "RING_VERIFIED",
     "RING_UNTRUSTED",

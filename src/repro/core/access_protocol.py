@@ -47,8 +47,7 @@ from repro.core.resource import Resource
 from repro.core.token import (
     RING_VERIFIED,
     CapabilityToken,
-    default_epoch_registry,
-    default_token_authority,
+    TokenAuthority,
     interface_digest,
     mask_of,
     methods_of,
@@ -163,6 +162,9 @@ class AccessProtocol:
         # no import edge to server/).  None = unsupervised: proxies take
         # the plain fast path and grants carry no default lease.
         self._supervision = None
+        # Mints and redeems this resource's tokens: the authority of the
+        # server that registers it, else one of its own (made on first use).
+        self._token_authority: TokenAuthority | None = None
 
     def install_supervision(self, guard) -> None:
         """Attach (or with ``None`` detach) this resource's guard.
@@ -172,6 +174,12 @@ class AccessProtocol:
         already-issued proxies keep the guard they were born with.
         """
         self._supervision = guard
+
+    def _authority(self) -> TokenAuthority:
+        authority = self._token_authority
+        if authority is None:
+            authority = self._token_authority = TokenAuthority()
+        return authority
 
     # -- the memoized policy decision -----------------------------------------
 
@@ -281,7 +289,7 @@ class AccessProtocol:
                 resource=target,
                 domain=context.domain_id,
             )
-        authority = default_token_authority()
+        authority = self._authority()
         authority.authenticate(token)  # TokenInvalidError on tamper
         if (
             token.resource_kind != target
@@ -414,7 +422,7 @@ class AccessProtocol:
         now: float,
     ) -> CapabilityToken:
         """Sign a capability for ``grantee`` over this resource."""
-        return default_token_authority().mint(
+        return self._authority().mint(
             grantee=grantee,
             resource=self._resource_token_id(),
             resource_kind=type(self).__name__,
@@ -511,7 +519,7 @@ class AccessProtocol:
             # One resource-epoch bump kills every outstanding token for
             # this resource — including copies that migrated away with
             # agents whose proxy objects are long collected.
-            default_epoch_registry().bump_resource(self._resource_token_id())
+            self._authority().registry.bump_resource(self._resource_token_id())
         self._issued.clear()
         return count
 
@@ -527,7 +535,7 @@ class AccessProtocol:
             return 0
         for proxy in bucket.live():
             proxy.revoke()  # PrivilegeError leaves the index intact
-        registry = default_epoch_registry()
+        registry = self._authority().registry
         for holder in bucket.holders:
             # Tokens are keyed by the *agent's* stable identity, so this
             # also invalidates copies carried to other servers.  A holder
@@ -551,7 +559,7 @@ class AccessProtocol:
         """
         self._policy = policy
         self._grant_cache.clear()
-        default_epoch_registry().bump_resource(self._resource_token_id())
+        self._authority().registry.bump_resource(self._resource_token_id())
 
     @property
     def policy(self) -> SecurityPolicy:

@@ -272,11 +272,15 @@ class DomainDatabase:
             raise UnknownNameError(f"no domain {domain_id!r}") from None
 
     def by_agent(self, agent: URN) -> AnyRecord:
-        """The agent's earliest residency still remembered here."""
+        """The agent's running residency here, else its newest remembered
+        one (an agent that revisits a server has one record per visit)."""
         ids = self._by_agent.get(agent)
         if not ids:
             raise UnknownNameError(f"no resident agent {agent}")
-        return self._records[ids[0]]
+        for domain_id in reversed(ids):
+            if domain_id in self._running:
+                return self._running[domain_id]
+        return self._records[ids[-1]]
 
     def records_of(self, agent: URN) -> list[AnyRecord]:
         """Every remembered record for ``agent``, in admission order —

@@ -61,7 +61,6 @@ from repro.core.resource import Resource, exported_methods
 from repro.core.token import (
     RING_NAMES,
     RING_UNTRUSTED,
-    default_token_authority,
     method_bits,
     methods_of,
 )
@@ -186,7 +185,7 @@ class ResourceProxy(Resource):
         self._confine = confine
         self._token = token
         self._hcell = (
-            default_token_authority().registry.holder_cell(token.grantee)
+            self._ref._authority().registry.holder_cell(token.grantee)
             if token is not None
             else None
         )

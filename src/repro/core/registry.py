@@ -21,6 +21,7 @@ from dataclasses import dataclass
 from repro.core.access_protocol import AccessProtocol
 from repro.core.capability import current_domain_id
 from repro.core.resource import ResourceImpl
+from repro.core.token import TokenAuthority
 from repro.errors import (
     DuplicateNameError,
     PrivilegeError,
@@ -45,9 +46,20 @@ class RegistryEntry:
 class ResourceRegistry:
     """Name → resource table with ownership-gated mutation."""
 
-    def __init__(self, security_manager: SecurityManager, clock) -> None:
+    def __init__(
+        self,
+        security_manager: SecurityManager,
+        clock,
+        token_authority: TokenAuthority | None = None,
+    ) -> None:
         self._secman = security_manager
         self._clock = clock
+        # The hosting server's authority (a registry built without one
+        # makes its own): every resource registered here, agent-carried
+        # ones included, mints and redeems through it.
+        if token_authority is None:
+            token_authority = TokenAuthority()
+        self._token_authority = token_authority
         self._entries: dict[URN, RegistryEntry] = {}
         # owner domain -> its ephemeral entry names (insertion-ordered),
         # so retiring a domain is O(its entries), not O(all entries).
@@ -116,6 +128,7 @@ class ResourceRegistry:
         )
         if ephemeral:
             self._ephemeral_by_owner.setdefault(owner, {})[name] = None
+        resource._token_authority = self._token_authority
         if self._supervisor is not None:
             self._supervisor.attach(resource)
 

@@ -56,9 +56,6 @@ __all__ = [
     "EpochRegistry",
     "CapabilityToken",
     "TokenAuthority",
-    "default_epoch_registry",
-    "default_token_authority",
-    "reset_default_authority",
     "method_bits",
     "mask_of",
     "methods_of",
@@ -154,6 +151,10 @@ class EpochRegistry:
     every outstanding token minted under the old value: stale tokens
     fail closed into the full authorization path.
 
+    The servers of one world share a registry: it stands in for a
+    revocation broadcast, so a holder bump on any host reaches the
+    tokens every host minted at once.
+
     The cell maps are softly bounded: past the cap, the oldest cells are
     dropped.  A proxy still holding a dropped cell simply goes stale at
     its next call (the registry hands out a fresh zero-valued cell with
@@ -197,14 +198,6 @@ class EpochRegistry:
         if _obs.METRICS_ON:
             _obs.METRICS.inc("capability_epoch_bumps", kind="resource")
         return cell.value
-
-
-_default_registry = EpochRegistry()
-
-
-def default_epoch_registry() -> EpochRegistry:
-    """The process-wide registry (one simulation per process is the norm)."""
-    return _default_registry
 
 
 # -- the token ---------------------------------------------------------------
@@ -310,9 +303,11 @@ class CapabilityToken:
 class TokenAuthority:
     """Mints and validates capability tokens under one MAC key.
 
-    One authority per trust domain (by default: per process, matching
-    the one-simulation-per-process norm).  Validation has a **warm
-    path**: a bounded map of recently verified ``tag → packed`` pairs
+    One authority per host: each server keys its own from its key pair,
+    so a token authenticates only at the server that minted it, and a
+    resource no server hosts gets one of its own.  ``registry`` holds
+    the epochs it mints under (default: a fresh one).  Validation has a
+    **warm path**: a bounded map of recently verified ``tag → packed`` pairs
     turns repeat validation of the same token into one dict probe and a
     bytes compare (~100ns) instead of an HMAC (~1µs).  The pair is a
     sound cache key — the MAC is a deterministic function, so a
@@ -337,7 +332,7 @@ class TokenAuthority:
         #: from the grant's lease.  An expired token silently re-validates
         #: through the full path and re-mints; a lapsed lease raises.
         self.ttl = ttl
-        self.registry = registry if registry is not None else _default_registry
+        self.registry = registry if registry is not None else EpochRegistry()
         self._seen: dict[bytes, bytes] = {}
         self.stats = {
             "minted": 0,
@@ -441,20 +436,3 @@ class TokenAuthority:
                 _obs.METRICS.inc("capability_tokens_stale", reason="expired")
             return False
         return True
-
-
-_default_authority: TokenAuthority | None = None
-
-
-def default_token_authority() -> TokenAuthority:
-    """The process-wide authority backing resources with no explicit one."""
-    global _default_authority
-    if _default_authority is None:
-        _default_authority = TokenAuthority()
-    return _default_authority
-
-
-def reset_default_authority() -> None:
-    """Drop the process authority (tests: forces a fresh MAC key)."""
-    global _default_authority
-    _default_authority = None

@@ -23,7 +23,6 @@ from repro.credentials.delegation import DelegatedCredentials, DelegationLink
 from repro.credentials.cache import (
     CredentialVerificationCache,
     credential_fingerprint,
-    verify_credentials,
 )
 
 __all__ = [
@@ -38,5 +37,4 @@ __all__ = [
     "DelegatedCredentials",
     "CredentialVerificationCache",
     "credential_fingerprint",
-    "verify_credentials",
 ]

@@ -42,6 +42,10 @@ class Certificate:
             "not_after": self.not_after,
         }
 
+    def digest(self) -> bytes:
+        """The digest of the signed body (memoized by value)."""
+        return _signed_digest(self)
+
     def verify(self, issuer_key: PublicKey, now: float) -> None:
         """Validate signature and validity window; raises on failure."""
         if not (self.not_before <= now <= self.not_after):
@@ -50,7 +54,7 @@ class Certificate:
                 f"(window [{self.not_before}, {self.not_after}])"
             )
         try:
-            issuer_key.verify(_signed_digest(self), self.signature)
+            issuer_key.verify(self.digest(), self.signature)
         except SignatureError as exc:
             raise CredentialError(
                 f"certificate for {self.subject!r} has an invalid signature"

@@ -13,7 +13,7 @@ import random
 from dataclasses import dataclass
 
 from repro.crypto import rsa
-from repro.crypto.hashing import sha256_hex
+from repro.crypto.hashing import derive_key, sha256_hex
 from repro.errors import CryptoError
 from repro.util.serialization import register_serializable
 
@@ -76,6 +76,15 @@ class PrivateKey:
 
     def decapsulate(self, ciphertext: bytes) -> bytes:
         return rsa.rsa_decapsulate(self._params, ciphertext)
+
+    def subkey(self, label: str) -> bytes:
+        """A 32-byte secret derived from this key, separated by ``label``.
+
+        Lets a key pair's holder key its symmetric MACs without drawing
+        fresh randomness; distinct labels give independent keys.
+        """
+        d = self._params.d
+        return derive_key(d.to_bytes((d.bit_length() + 7) // 8, "big"), label)
 
     def __repr__(self) -> str:  # never leak parameters
         return f"PrivateKey(bits={self.bits}, fpr={self.public_key().fingerprint()})"

@@ -36,7 +36,7 @@ from repro.core.binding import BindingService
 from repro.core.domain_db import DomainDatabase
 from repro.core.registry import ResourceRegistry
 from repro.core.resource import ResourceImpl
-from repro.core.token import default_epoch_registry
+from repro.core.token import EpochRegistry, TokenAuthority
 from repro.credentials.rights import Rights
 from repro.crypto.cert import Certificate
 from repro.crypto.trust import TrustAnchor
@@ -95,16 +95,6 @@ BREAKER_FAILURE_THRESHOLD = 8
 BREAKER_RESET_TIMEOUT = 60.0
 
 
-def _revoke_holder_tokens(agent: URN) -> None:
-    """Kill the capability tokens of an agent that stopped existing.
-
-    One epoch bump keyed on the agent's stable URN: any token it was
-    minted, on this server or carried elsewhere, goes stale and fails
-    closed at its next use.
-    """
-    default_epoch_registry().bump_holder(str(agent))
-
-
 class AgentServer:
     """One hosting site in the mobile-agent system."""
 
@@ -129,6 +119,7 @@ class AgentServer:
         appraisal: bool = True,
         membership: MembershipConfig | None = None,
         recovery: bool = False,
+        epochs: EpochRegistry | None = None,
     ) -> None:
         self.name = name
         self.kernel = kernel
@@ -160,6 +151,19 @@ class AgentServer:
         self.resident_lifetime_limit = resident_lifetime_limit
         self.reports: list[dict[str, Any]] = []
 
+        # Host-scoped trust state.  The admission policy's verification
+        # cache is this host's one store of certificate, signature and
+        # chain verdicts: admission, appraisal and handshakes consult it.
+        # The token authority is keyed from this host's own key pair, so
+        # its tokens authenticate here only; ``epochs`` is the world's
+        # shared registry (a server built alone gets its own).
+        self.admission = admission or AdmissionPolicy(trust_anchor, self.clock)
+        verdicts = self.admission.credential_cache
+        self.token_authority = TokenAuthority(
+            keys.private.subkey("repro.capability-token-mac"),
+            registry=epochs if epochs is not None else EpochRegistry(),
+        )
+
         # Fig. 1: transfer plumbing (network endpoint + secure channels).
         self.endpoint = Endpoint(network, name)
         self.secure = SecureHost(
@@ -167,7 +171,7 @@ class AgentServer:
             name=name,
             keys=keys,
             certificate=certificate,
-            trust_anchor=trust_anchor,
+            trust_anchor=verdicts.anchored(trust_anchor, self.clock.now),
             clock=self.clock,
             rng=rng,
         )
@@ -179,7 +183,9 @@ class AgentServer:
         self.security_manager = SecurityManager(self.server_domain, self.audit)
         self.security_manager.seal()
         self.domain_db = DomainDatabase(self.clock)
-        self.registry = ResourceRegistry(self.security_manager, self.clock)
+        self.registry = ResourceRegistry(
+            self.security_manager, self.clock, self.token_authority
+        )
         self.binding = BindingService(
             self.registry,
             self.domain_db,
@@ -187,7 +193,6 @@ class AgentServer:
             self.audit,
             server_domain_id=self.server_domain.domain_id,
         )
-        self.admission = admission or AdmissionPolicy(trust_anchor, self.clock)
 
         # Tamper-evident agent integrity (hash-chained state appraisal +
         # itinerary commitments).  On by default; ``appraisal=False`` is
@@ -203,6 +208,7 @@ class AgentServer:
                 trust_anchor=trust_anchor,
                 clock=self.clock,
                 rng=random.Random(rng.getrandbits(64)),
+                verdicts=verdicts,
             )
             self.admission.integrity = self.integrity
         # Red-team hook (installed by the fault injector's malicious-host
@@ -851,7 +857,12 @@ class AgentServer:
             if domain_id in self.domain_db:
                 self.domain_db.set_status(domain_id, status)
                 if revoke:
-                    _revoke_holder_tokens(self.domain_db.get(domain_id).agent)
+                    # The agent stopped existing: one holder-epoch bump
+                    # on its stable URN stales every token it was minted,
+                    # here or on any host of the world.
+                    self.token_authority.registry.bump_holder(
+                        str(self.domain_db.get(domain_id).agent)
+                    )
         self.binding.forget_domain(domain_id)
         # Ephemeral self-registrations (mailboxes) die with the agent;
         # installed services (section 5.5) persist.
@@ -1062,7 +1073,7 @@ class AgentServer:
             # one holder-epoch bump makes every copy stale federation-wide
             # (redemption falls back to full authorization, which the
             # quarantined impostor cannot pass).
-            default_epoch_registry().bump_holder(str(agent))
+            self.token_authority.registry.bump_holder(str(agent))
         detail = f"{reason}: {exc}"
         if span is not None:
             span.set_status("error", f"refused: {exc}")

@@ -16,6 +16,7 @@ from typing import Any
 
 from repro.agents.agent import Agent
 from repro.agents.transfer import AgentImage, capture_image
+from repro.core.token import EpochRegistry
 from repro.credentials.credentials import Credentials
 from repro.credentials.delegation import DelegatedCredentials
 from repro.credentials.rights import Rights
@@ -105,6 +106,10 @@ class Testbed:
         self._ns_breakers = (ns_breaker_threshold, ns_breaker_reset)
         self.ca = CertificateAuthority("testbed-ca", make_rng(seed, "ca"), self.clock)
         self.rng = make_rng(seed, "testbed")
+        # The one piece of trust state this world's hosts share: capability
+        # epochs, so a holder bump on one host stales that agent's tokens
+        # on every host at once (a stand-in for a revocation broadcast).
+        self.epochs = EpochRegistry()
         self.servers: list[AgentServer] = []
         self._agent_ids = IdGenerator("agent")
         self._faults = None
@@ -261,6 +266,7 @@ class Testbed:
             certificate=self.ca.issue(name, keys.public),
             rng=make_rng(self.seed, f"rng:{name}"),
             name_service=self.name_service,
+            epochs=self.epochs,
             **self._server_kwargs,
         )
         if self._remote_ns:

@@ -16,7 +16,7 @@ execution styles share one virtual clock and one event queue:
 from repro.sim.kernel import EventHandle, Kernel
 from repro.sim.threads import SimThread, ThreadState
 from repro.sim.sync import BlockingQueue, Mutex, Semaphore, SimEvent
-from repro.sim.monitor import Counter, Series, Tally, TimeWeighted
+from repro.sim.monitor import Counter, TimeWeighted
 
 __all__ = [
     "Kernel",
@@ -28,7 +28,5 @@ __all__ = [
     "Mutex",
     "BlockingQueue",
     "Counter",
-    "Series",
-    "Tally",
     "TimeWeighted",
 ]

@@ -1,17 +1,13 @@
 """Statistics collection for simulations and benchmarks.
 
-Small, allocation-light accumulators.  ``Tally`` uses Welford's online
-algorithm so long benchmark runs do not lose precision; ``TimeWeighted``
-integrates a piecewise-constant signal (queue length, resident agents)
-over virtual time.
+Small, allocation-light accumulators: ``Counter`` keeps named
+monotonic counts; ``TimeWeighted`` integrates a piecewise-constant
+signal (queue length, resident agents) over virtual time.
 """
 
 from __future__ import annotations
 
-import math
-from typing import Any
-
-__all__ = ["Counter", "Tally", "TimeWeighted", "Series"]
+__all__ = ["Counter", "TimeWeighted"]
 
 
 class Counter:
@@ -33,57 +29,6 @@ class Counter:
 
     def __getitem__(self, name: str) -> int:
         return self.get(name)
-
-
-class Tally:
-    """Streaming mean/variance/min/max of observed samples (Welford)."""
-
-    __slots__ = ("count", "_mean", "_m2", "min", "max", "total")
-
-    def __init__(self) -> None:
-        self.count = 0
-        self._mean = 0.0
-        self._m2 = 0.0
-        self.min = math.inf
-        self.max = -math.inf
-        self.total = 0.0
-
-    def observe(self, value: float) -> None:
-        self.count += 1
-        self.total += value
-        delta = value - self._mean
-        self._mean += delta / self.count
-        self._m2 += delta * (value - self._mean)
-        if value < self.min:
-            self.min = value
-        if value > self.max:
-            self.max = value
-
-    @property
-    def mean(self) -> float:
-        return self._mean if self.count else math.nan
-
-    @property
-    def variance(self) -> float:
-        """Sample variance (n-1 denominator)."""
-        if self.count < 2:
-            return math.nan
-        return self._m2 / (self.count - 1)
-
-    @property
-    def stdev(self) -> float:
-        var = self.variance
-        return math.sqrt(var) if not math.isnan(var) else math.nan
-
-    def summary(self) -> dict[str, float]:
-        return {
-            "count": self.count,
-            "mean": self.mean,
-            "stdev": self.stdev,
-            "min": self.min if self.count else math.nan,
-            "max": self.max if self.count else math.nan,
-            "total": self.total,
-        }
 
 
 class TimeWeighted:
@@ -115,29 +60,3 @@ class TimeWeighted:
     @property
     def current(self) -> float:
         return self._value
-
-
-class Series:
-    """A recorded (time, value) series, with light analysis helpers."""
-
-    def __init__(self, name: str = "") -> None:
-        self.name = name
-        self.times: list[float] = []
-        self.values: list[Any] = []
-
-    def record(self, time: float, value: Any) -> None:
-        if self.times and time < self.times[-1]:
-            raise ValueError("series times must be non-decreasing")
-        self.times.append(time)
-        self.values.append(value)
-
-    def __len__(self) -> int:
-        return len(self.times)
-
-    def __iter__(self):
-        return iter(zip(self.times, self.values))
-
-    def last(self) -> tuple[float, Any]:
-        if not self.times:
-            raise IndexError("empty series")
-        return self.times[-1], self.values[-1]

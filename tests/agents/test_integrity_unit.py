@@ -23,7 +23,7 @@ from repro.agents.integrity import (
 from repro.agents.itinerary import Itinerary, ItineraryCommitment
 from repro.agents.transfer import AgentImage
 from repro.credentials.rights import Rights
-from repro.crypto.keys import KeyPair
+from repro.crypto.keys import KeyPair, PublicKey
 from repro.crypto.mac import HmacKey
 from repro.errors import (
     AgentAttributeError,
@@ -105,11 +105,40 @@ def test_a_sealed_link_is_digested_once(hosts, image, monkeypatch):
 
     monkeypatch.setattr(integrity, "canonical_digest", counting)
     integrity._link_tag.cache_clear()
-    integrity._link_signature_ok.cache_clear()
     hopped = sealed_hop(a, image, B)
     b.verify_arrival(hopped, A)
     [link] = hopped.attributes[APPRAISAL_ATTRIBUTE]
     assert bodies == [link.body()]
+
+
+def test_each_host_rsa_verifies_a_link_once(hosts, image, monkeypatch):
+    """Link verdicts are per host: a link one host verified is RSA-checked
+    again at the next host, once, and not when the agent comes back."""
+    a, b, c = hosts
+    checked: list[bytes] = []
+    verify = PublicKey.verify
+
+    def counting(key, digest, signature):
+        checked.append(signature)
+        return verify(key, digest, signature)
+
+    monkeypatch.setattr(PublicKey, "verify", counting)
+
+    def arrive(sender, receiver, arriving):
+        outgoing = sealed_hop(sender, arriving, receiver.name)
+        checked.clear()
+        receiver.verify_arrival(outgoing, peer=sender.name)
+        return outgoing, list(checked)
+
+    at_b, seen_at_b = arrive(a, b, image)
+    first = at_b.attributes[APPRAISAL_ATTRIBUTE][0].signature
+    assert seen_at_b.count(first) == 1
+    at_c, seen_at_c = arrive(b, c, at_b)
+    assert seen_at_c.count(first) == 1  # B's verdict did not travel to C
+    back_at_b, seen_again_at_b = arrive(c, b, at_c)
+    assert first not in seen_again_at_b  # B remembers its own verdict
+    *_, newest = back_at_b.attributes[APPRAISAL_ATTRIBUTE]
+    assert seen_again_at_b.count(newest.signature) == 1
 
 
 def test_state_tamper_after_seal_is_detected(hosts, image):

@@ -214,8 +214,29 @@ class TestDomainDatabase:
         with pytest.raises(UnknownNameError):
             db.get("d0")
         assert db.status_counts()["completed"] == TOMBSTONE_RING + 1
-        assert db.by_agent(credentials.agent).domain_id == "d1"
-        assert len(db.records_of(credentials.agent)) == TOMBSTONE_RING
+        assert db.by_agent(credentials.agent).domain_id == f"d{TOMBSTONE_RING}"
+        remembered = db.records_of(credentials.agent)
+        assert len(remembered) == TOMBSTONE_RING
+        assert remembered[0].domain_id == "d1"
+
+    def test_by_agent_prefers_the_running_residency(self, env):
+        """A revisiting agent has one record per visit: the running one
+        answers, not the departed first visit."""
+        db = DomainDatabase(env.clock)
+        credentials = env.agent_domain(Rights.all()).credentials
+        first, second = (
+            ProtectionDomain(f"v{i}", "agent", ThreadGroup(f"vg{i}"),
+                             credentials=credentials)
+            for i in (1, 2)
+        )
+        self.admit(env, db, first)
+        with db.privileged():
+            db.set_status("v1", "departed")
+        self.admit(env, db, second)
+        assert db.by_agent(credentials.agent).domain_id == "v2"
+        with db.privileged():
+            db.set_status("v2", "completed")
+        assert db.by_agent(credentials.agent).status == "completed"
 
     def test_unknown_queries(self, env):
         db = DomainDatabase(env.clock)

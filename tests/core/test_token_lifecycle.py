@@ -24,8 +24,6 @@ from repro.core.token import (
     CapabilityToken,
     EpochRegistry,
     TokenAuthority,
-    default_epoch_registry,
-    default_token_authority,
     interface_digest,
     mask_of,
     methods_of,
@@ -123,12 +121,12 @@ class TestRedemption:
         buf, domain, proxy = make_proxy(env)
         token = proxy.capability_token()
         cache_before = dict(buf.grant_cache_stats())
-        minted_before = default_token_authority().stats["minted"]
+        minted_before = buf._authority().stats["minted"]
         redeemed = buf.redeem_token(
             token, domain.credentials, env.context(domain)
         )
         assert buf.grant_cache_stats() == cache_before  # no decision ran
-        assert default_token_authority().stats["minted"] == minted_before
+        assert buf._authority().stats["minted"] == minted_before
         assert redeemed.capability_token() == token
         redeemed.put("via token")
         assert redeemed.get() == "via token"
@@ -170,6 +168,7 @@ class TestRedemption:
     def test_wrong_resource_falls_back_to_policy(self, env):
         buf1, domain, proxy = make_proxy(env)
         buf2 = Buffer(RES2, OWNER, open_policy())
+        buf2._token_authority = buf1._authority()  # one host's two resources
         token = proxy.capability_token()
         redeemed = buf2.redeem_token(
             token, domain.credentials, env.context(domain)
@@ -181,7 +180,7 @@ class TestRedemption:
     def test_wrong_interface_digest_falls_back(self, env):
         buf, domain, proxy = make_proxy(env)
         good = proxy.capability_token()
-        authority = default_token_authority()
+        authority = buf._authority()
         stale_iface = authority.mint(
             grantee=good.grantee, resource=good.resource,
             resource_kind=good.resource_kind, iface_digest="0" * 16,
@@ -216,7 +215,7 @@ class TestEpochRevocation:
     def test_holder_bump_with_unchanged_policy_re_mints(self, env):
         buf, domain, proxy = make_proxy(env)
         old = proxy.capability_token()
-        default_epoch_registry().bump_holder(old.grantee)
+        buf._authority().registry.bump_holder(old.grantee)
         proxy.put("survives")  # transparent refresh, not an error
         fresh = proxy.capability_token()
         assert fresh.holder_epoch == old.holder_epoch + 1
@@ -226,7 +225,7 @@ class TestEpochRevocation:
         buf, domain, proxy = make_proxy(env)
         token = proxy.capability_token()
         buf.set_policy(SecurityPolicy.deny_all())
-        default_epoch_registry().bump_holder(token.grantee)
+        buf._authority().registry.bump_holder(token.grantee)
         with pytest.raises(ProxyRevokedError, match="revoked out from under"):
             proxy.put("x")
         # Fail-closed is sticky: the proxy is now plain revoked.
@@ -240,7 +239,7 @@ class TestEpochRevocation:
             rules=[PolicyRule("any", "*", Rights.all(), metered=True,
                               confine=False)]
         ))
-        default_epoch_registry().bump_holder(token.grantee)
+        buf._authority().registry.bump_holder(token.grantee)
         # A meter cannot be conjured mid-grant: re-bind through get_proxy.
         with pytest.raises(ProxyRevokedError):
             proxy.put("x")
@@ -252,7 +251,7 @@ class TestEpochRevocation:
         token = proxy.capability_token()
         with enter_group(env.server_domain.thread_group):
             buf.revoke_for(domain.domain_id)
-        authority = default_token_authority()
+        authority = buf._authority()
         assert not authority.is_fresh(token, env.clock.now())
 
     def test_revoke_all_stales_via_resource_epoch(self, env):
@@ -262,12 +261,12 @@ class TestEpochRevocation:
         token = proxy.capability_token()
         with enter_group(env.server_domain.thread_group):
             buf.revoke_all()
-        assert not default_token_authority().is_fresh(token, env.clock.now())
+        assert not buf._authority().is_fresh(token, env.clock.now())
 
     def test_ttl_expiry_re_mints_transparently(self, env):
         buf, domain, proxy = make_proxy(env)
         old = proxy.capability_token()
-        authority = default_token_authority()
+        authority = buf._authority()
         env.clock.advance(authority.ttl + 1.0)
         proxy.put("after ttl")
         fresh = proxy.capability_token()

@@ -15,7 +15,6 @@ import pytest
 from repro.credentials.cache import (
     CredentialVerificationCache,
     credential_fingerprint,
-    verify_credentials,
 )
 from repro.credentials.credentials import Credentials
 from repro.credentials.delegation import DelegatedCredentials
@@ -60,7 +59,8 @@ def test_repeat_verification_hits():
     creds = env.credentials()
     for _ in range(3):
         cache.verify(creds, env.store, env.clock.now())
-    assert cache.stats() == {"hits": 2, "misses": 1, "size": 1}
+    # Two verdicts are kept: the chain and its owner certificate.
+    assert cache.stats() == {"hits": 2, "misses": 1, "size": 2}
 
 
 def test_delegated_chain_is_cached_by_whole_chain():
@@ -177,17 +177,6 @@ def test_eviction_keeps_the_cache_bounded():
     assert len(cache) == 4
     cache.verify(pool[0], env.store, env.clock.now())  # evicted: full miss
     assert cache.misses == 7 and cache.hits == 0
-
-
-def test_module_level_convenience_uses_shared_default():
-    env = Env()
-    creds = env.credentials()
-    verify_credentials(creds, env.store, env.clock.now())
-    verify_credentials(creds, env.store, env.clock.now())
-    # And an explicit cache is honored:
-    mine = CredentialVerificationCache()
-    verify_credentials(creds, env.store, env.clock.now(), cache=mine)
-    assert mine.misses == 1
 
 
 def test_fingerprint_is_stable_and_memoized():

@@ -8,7 +8,7 @@ that the tampered agent's carried capability tokens die federation-wide
 
 from __future__ import annotations
 
-from repro.core.token import TokenAuthority, default_epoch_registry
+from repro.core.token import TokenAuthority
 from repro.credentials.rights import Rights
 from repro.net.faults import capture, tamper_state
 
@@ -55,7 +55,9 @@ def test_integrity_reject_stales_the_agents_carried_tokens(world):
     w.run(detect_deadlock=False)
     assert s2.stats["agents_hosted"] == 1
 
-    authority = TokenAuthority(key=b"redteam-token-key-0123456789abcd")
+    authority = TokenAuthority(
+        key=b"redteam-token-key-0123456789abcd", registry=w.epochs
+    )
     token = authority.mint(
         grantee=str(image.name),
         resource="urn:resource:store.net/buf",
@@ -68,7 +70,7 @@ def test_integrity_reject_stales_the_agents_carried_tokens(world):
         now=w.clock.now(),
     )
     assert authority.is_fresh(token, w.clock.now())
-    cell = default_epoch_registry().holder_cell(str(image.name))
+    cell = w.epochs.holder_cell(str(image.name))
     epoch_at_mint = cell.value
 
     w.faults().replay_capture(s1, controller, at=w.clock.now() + 10.0)

@@ -23,7 +23,7 @@ from repro.apps.buffer import Buffer
 from repro.core.domain_db import TOMBSTONE_RING, DomainTombstone
 from repro.core.policy import SecurityPolicy
 from repro.core.proxy import ResourceProxy
-from repro.core.token import CapabilityToken, default_token_authority
+from repro.core.token import CapabilityToken
 from repro.credentials.rights import Rights
 from repro.errors import UnknownNameError
 from repro.naming.urn import URN
@@ -212,7 +212,7 @@ def test_revoke_for_an_ended_domain_kills_the_token_it_carried_away():
     bed.run(until=100.0, detect_deadlock=False)
     assert OUTCOMES["abroad"] == away.name
     token = CapabilityToken.from_wire(bytes.fromhex(OUTCOMES["token"]))
-    authority = default_token_authority()
+    authority = origin.token_authority
 
     # The residency at ``origin`` ended with the departure: a tombstone
     # remains, and departing bumped no epoch.

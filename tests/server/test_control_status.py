@@ -37,6 +37,20 @@ class Mover(Agent):
         self.complete()
 
 
+@register_trusted_agent_class
+class Revisitor(Agent):
+    """Tours its stops, then sleeps at the last one."""
+
+    def __init__(self) -> None:
+        self.stops: list[str] = []
+
+    def run(self):
+        if self.stops:
+            self.go(self.stops.pop(0), "run")
+        self.host.sleep(10_000.0)
+        self.complete()
+
+
 def secure_query(bed, from_server, to_server, app_kind, body) -> dict:
     """Run a blocking secure call from one server to another."""
     result: list[dict] = []
@@ -100,6 +114,28 @@ class TestControlCommands:
             bed.servers[1].resident_status(image2.name)["status"] == "terminated"
         )
         assert bed.servers[1].stats["agents_terminated_by_owner"] == 1
+
+    def test_home_terminates_the_running_copy_on_a_revisited_server(self):
+        """home -> s1 -> s2 -> s1: s1 holds the departed first visit and
+        the running second one; status and control reach the running one."""
+        bed = Testbed(3)
+        s1, s2 = bed.servers[1], bed.servers[2]
+        agent = Revisitor()
+        agent.stops = [s1.name, s2.name, s1.name]
+        image = bed.launch(agent, Rights.all())
+        bed.run(until=50.0, detect_deadlock=False)
+        assert s1.resident_status(image.name)["status"] == "running"
+        reply = secure_query(
+            bed, bed.home, s1, "agent.control",
+            {"agent": str(image.name), "command": "terminate"},
+        )
+        assert reply == {"status": "terminated"}
+        bed.run(detect_deadlock=False)
+        assert [r.status for r in s1.domain_db.records_of(image.name)] == [
+            "departed", "terminated",
+        ]
+        assert s1.domain_db.residents() == []
+        assert s1.stats["agents_terminated_by_owner"] == 1
 
     def test_non_home_site_cannot_terminate(self):
         bed = Testbed(3)

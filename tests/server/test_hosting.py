@@ -145,9 +145,14 @@ class TestMigration:
         sizes = dict(report["payload"]["sizes"])
         assert set(sizes) == {s.name for s in bed.servers}
         assert sizes[bed.servers[1].name] == 2  # item + 1 pad
-        # Every intermediate server shows a departed record.
-        for server in bed.servers[:-1]:
+        # Every intermediate server shows a departed record.  Home, left
+        # first and returned to last, answers with its newest residency.
+        for server in bed.servers[1:-1]:
             assert server.resident_status(image.name)["status"] == "departed"
+        assert [
+            record.status for record in bed.home.domain_db.records_of(image.name)
+        ] == ["departed", "completed"]
+        assert bed.home.resident_status(image.name)["status"] == "completed"
 
     def test_name_service_tracks_migration(self):
         bed, _ = self.make_tour(2)

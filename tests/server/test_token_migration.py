@@ -13,7 +13,7 @@ from __future__ import annotations
 from repro.agents.agent import Agent, register_trusted_agent_class
 from repro.apps.buffer import Buffer
 from repro.core.policy import SecurityPolicy
-from repro.core.token import CapabilityToken, default_token_authority
+from repro.core.token import CapabilityToken
 from repro.credentials.rights import Rights
 from repro.naming.urn import URN
 from repro.server.testbed import Testbed
@@ -45,12 +45,12 @@ class TouringClient(Agent):
             self.go(self.away, "run")
         elif here == self.away:  # abroad: the ticket stays fresh mid-tour
             token = CapabilityToken.from_wire(bytes.fromhex(self.token_hex))
-            OUTCOMES["fresh_mid_tour"] = default_token_authority().is_fresh(
+            OUTCOMES["fresh_mid_tour"] = OUTCOMES["authority"].is_fresh(
                 token, self.host.now()
             )
             self.go(self.home_name, "run")
         else:  # back home: redeem — O(1), no re-mint, no policy consult
-            authority = default_token_authority()
+            authority = OUTCOMES["authority"]
             minted_before = authority.stats["minted"]
             proxy = self.host.get_resource(
                 self.target, token=bytes.fromhex(self.token_hex)
@@ -69,6 +69,7 @@ def test_token_survives_tour_and_redeems_without_reminting():
     OUTCOMES.clear()
     bed = Testbed(2)
     name, _ = install_buffer(bed.home)
+    OUTCOMES["authority"] = bed.home.token_authority
     agent = TouringClient()
     agent.target = str(name)
     agent.token_hex = ""
@@ -87,7 +88,7 @@ def test_token_survives_tour_and_redeems_without_reminting():
     token = CapabilityToken.from_wire(
         bytes.fromhex(OUTCOMES["minted_token"])
     )
-    assert not default_token_authority().is_fresh(token, bed.clock.now())
+    assert not bed.home.token_authority.is_fresh(token, bed.clock.now())
 
 
 @register_trusted_agent_class
@@ -110,8 +111,8 @@ def test_terminated_agent_tokens_revoked_everywhere():
     image = bed.launch(agent, Rights.all())
     bed.run(until=50.0)  # long enough to bind, far short of the sleep
     token = CapabilityToken.from_wire(bytes.fromhex(OUTCOMES["wire"]))
-    assert default_token_authority().is_fresh(token, bed.clock.now())
+    assert bed.home.token_authority.is_fresh(token, bed.clock.now())
     domain_id = bed.home.domain_db.by_agent(image.name).domain_id
     assert bed.home.terminate_resident(domain_id)
     # The kill bumped the holder epoch: the stashed ticket is dead.
-    assert not default_token_authority().is_fresh(token, bed.clock.now())
+    assert not bed.home.token_authority.is_fresh(token, bed.clock.now())

@@ -2,14 +2,9 @@
 
 from __future__ import annotations
 
-import math
-import statistics
-
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
-from repro.sim.monitor import Counter, Series, Tally, TimeWeighted
+from repro.sim.monitor import Counter, TimeWeighted
 
 
 class TestCounter:
@@ -31,50 +26,6 @@ class TestCounter:
         d = c.as_dict()
         d["x"] = 99
         assert c.get("x") == 1
-
-
-class TestTally:
-    def test_empty(self):
-        t = Tally()
-        assert t.count == 0
-        assert math.isnan(t.mean)
-        assert math.isnan(t.variance)
-
-    def test_known_values(self):
-        t = Tally()
-        for v in [2.0, 4.0, 4.0, 4.0, 5.0, 5.0, 7.0, 9.0]:
-            t.observe(v)
-        assert t.count == 8
-        assert t.mean == pytest.approx(5.0)
-        assert t.min == 2.0 and t.max == 9.0
-        assert t.total == pytest.approx(40.0)
-        assert t.variance == pytest.approx(
-            statistics.variance([2, 4, 4, 4, 5, 5, 7, 9])
-        )
-
-    def test_single_value_variance_nan(self):
-        t = Tally()
-        t.observe(3.0)
-        assert math.isnan(t.variance)
-        assert math.isnan(t.stdev)
-
-    def test_summary_keys(self):
-        t = Tally()
-        t.observe(1.0)
-        t.observe(2.0)
-        s = t.summary()
-        assert set(s) == {"count", "mean", "stdev", "min", "max", "total"}
-
-    @settings(max_examples=50, deadline=None)
-    @given(st.lists(st.floats(min_value=-1e6, max_value=1e6), min_size=2, max_size=50))
-    def test_property_matches_statistics_module(self, values):
-        t = Tally()
-        for v in values:
-            t.observe(v)
-        assert t.mean == pytest.approx(statistics.fmean(values), abs=1e-6)
-        assert t.variance == pytest.approx(
-            statistics.variance(values), rel=1e-6, abs=1e-6
-        )
 
 
 class TestTimeWeighted:
@@ -102,24 +53,3 @@ class TestTimeWeighted:
             tw.update(2.0, 1.0)
         with pytest.raises(ValueError):
             tw.average(1.0)
-
-
-class TestSeries:
-    def test_record_and_iterate(self):
-        s = Series("queue")
-        s.record(0.0, 1)
-        s.record(1.0, 2)
-        assert len(s) == 2
-        assert list(s) == [(0.0, 1), (1.0, 2)]
-        assert s.last() == (1.0, 2)
-
-    def test_non_decreasing_times(self):
-        s = Series()
-        s.record(1.0, "a")
-        s.record(1.0, "b")  # equal is fine
-        with pytest.raises(ValueError):
-            s.record(0.5, "c")
-
-    def test_empty_last_raises(self):
-        with pytest.raises(IndexError):
-            Series().last()
