@@ -117,7 +117,8 @@ def state_digest(image: AgentImage, state_bytes: bytes | None = None) -> bytes:
     )
 
 
-@functools.lru_cache(maxsize=1024)
+# One entry per touring agent (8 per wave of 8 tours); a miss re-digests.
+@functools.lru_cache(maxsize=256)
 def _credentials_digest(credentials: object) -> bytes:
     """Digest of a (frozen, value-hashable) credentials object.
 
@@ -218,7 +219,8 @@ class AppraisalLink:
 register_serializable(AppraisalLink, intern=True)
 
 
-@functools.lru_cache(maxsize=4096)
+# One entry per sealed link (32 per wave of 8 tours); a miss re-digests.
+@functools.lru_cache(maxsize=256)
 def _link_tag(*body: object) -> bytes:
     """Memoized chain tag of one link body (:meth:`AppraisalLink.body`).
 
@@ -400,9 +402,14 @@ class IntegrityAuthority:
             certificate=self.certificate,
             signature=b"",
         )
-        return dataclasses.replace(
-            unsigned, signature=self.keys.private.sign(unsigned.tag())
+        tag = unsigned.tag()
+        signature = self.keys.private.sign(tag)
+        # This host's own seal: when the agent comes back, its arrival
+        # check finds the verdict here instead of RSA-verifying it.
+        self.verdicts.remember_signature(
+            self.certificate.public_key, tag, signature
         )
+        return dataclasses.replace(unsigned, signature=signature)
 
     # -- verification (receiver side) --------------------------------------
 

@@ -66,10 +66,9 @@ from repro.util.clock import Clock
 
 __all__ = ["BindingContext", "AccessProtocol", "GRANT_CACHE_MAX"]
 
-# Per-resource bound on memoized policy decisions.  Entries are small
-# (a fingerprint key and a frozen ProxyGrant); the bound exists to cap
-# adversarial credential churn, not ordinary populations.
-GRANT_CACHE_MAX = 1024
+# Per-resource memoized policy decisions: one per agent (8 per wave of 8
+# tours); a miss only re-runs the policy decision.
+GRANT_CACHE_MAX = 256
 
 
 @dataclass(frozen=True, slots=True)

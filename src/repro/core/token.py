@@ -314,7 +314,8 @@ class TokenAuthority:
     (tag, packed) pair that verified once verifies forever.
     """
 
-    _SEEN_MAX = 4096
+    # One token per binding (8 per host per wave of 8 tours); a miss re-MACs.
+    _SEEN_MAX = 256
 
     def __init__(
         self,

@@ -48,7 +48,8 @@ from repro.errors import SignatureError
 __all__ = ["credential_fingerprint", "CredentialVerificationCache"]
 
 
-@lru_cache(maxsize=4096)
+# One entry per touring agent (8 per wave of 8 tours); a miss re-digests.
+@lru_cache(maxsize=256)
 def credential_fingerprint(credentials: DelegatedCredentials) -> bytes:
     """Canonical digest of the whole chain, memoized per credential.
 
@@ -70,7 +71,8 @@ class CredentialVerificationCache:
       anchor and its version → the certificate's window (:meth:`validate`);
     * a signature, keyed by public key, digest and signature → whether it
       verifies (:meth:`signature_ok`); signature math is time-independent,
-      so a forged signature stays forged.
+      so a forged signature stays forged.  A host's own fresh signatures
+      go in as true (:meth:`remember_signature`).
 
     Keys hold digests, signatures and public keys, never credentials,
     links or images, so the cache keeps no finished agent's objects
@@ -79,7 +81,8 @@ class CredentialVerificationCache:
 
     __slots__ = ("_entries", "maxsize", "hits", "misses")
 
-    def __init__(self, maxsize: int = 1024) -> None:
+    # A wave of 8 tours adds 31-40 verdicts per host; a miss re-runs RSA.
+    def __init__(self, maxsize: int = 256) -> None:
         if maxsize <= 0:
             raise ValueError("cache maxsize must be positive")
         # key -> (anchor, valid_from, valid_until) for anchored verdicts,
@@ -166,6 +169,12 @@ class CredentialVerificationCache:
             verdict = False
         self._remember(key, verdict)
         return verdict
+
+    def remember_signature(
+        self, public_key: PublicKey, digest: bytes, signature: bytes
+    ) -> None:
+        """Record ``signature`` as verifying: one this host just made itself."""
+        self._remember((public_key, digest, signature), True)
 
     def _within(self, key: tuple, anchor: TrustAnchor, now: float) -> bool:
         entry = self._entries.get(key)

@@ -46,13 +46,17 @@ class Certificate:
         """The digest of the signed body (memoized by value)."""
         return _signed_digest(self)
 
-    def verify(self, issuer_key: PublicKey, now: float) -> None:
-        """Validate signature and validity window; raises on failure."""
+    def check_window(self, now: float) -> None:
+        """Raise :class:`CredentialExpiredError` unless ``now`` is in the window."""
         if not (self.not_before <= now <= self.not_after):
             raise CredentialExpiredError(
                 f"certificate for {self.subject!r} not valid at t={now} "
                 f"(window [{self.not_before}, {self.not_after}])"
             )
+
+    def verify(self, issuer_key: PublicKey, now: float) -> None:
+        """Validate signature and validity window; raises on failure."""
+        self.check_window(now)
         try:
             issuer_key.verify(self.digest(), self.signature)
         except SignatureError as exc:

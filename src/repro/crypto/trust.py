@@ -110,6 +110,7 @@ class TrustStore:
                 f" untrusted authority {certificate.issuer!r}"
             )
         now = self._clock.now()
-        # The anchor itself must still be in its validity window.
-        anchor.verify(anchor.public_key, now)
+        # The anchor itself must still be in its validity window; its
+        # self-signature was checked once, by add_anchor.
+        anchor.check_window(now)
         certificate.verify(anchor.public_key, now)

@@ -15,7 +15,7 @@ authority), serializable, and usable as dict keys.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from repro.errors import NamingError
 from repro.util.serialization import register_serializable
@@ -36,6 +36,9 @@ class URN:
     kind: str
     authority: str
     local: str
+    # The text form, built once: audit records, name records and proxy
+    # holders then share one string per name.
+    _text: str = field(init=False, repr=False, compare=False, hash=False)
 
     def __post_init__(self) -> None:
         if not _KIND_RE.match(self.kind):
@@ -44,6 +47,9 @@ class URN:
             raise NamingError(f"invalid URN authority {self.authority!r}")
         if not _LOCAL_RE.match(self.local):
             raise NamingError(f"invalid URN local part {self.local!r}")
+        object.__setattr__(
+            self, "_text", f"urn:{self.kind}:{self.authority}/{self.local}"
+        )
 
     @classmethod
     def parse(cls, text: str) -> "URN":
@@ -68,7 +74,7 @@ class URN:
         return URN(kind=self.kind, authority=self.authority, local=f"{self.local}/{suffix}")
 
     def __str__(self) -> str:
-        return f"urn:{self.kind}:{self.authority}/{self.local}"
+        return self._text
 
     def to_state(self) -> str:
         return str(self)

@@ -115,10 +115,11 @@ class Testbed:
         self._faults = None
         self._key_bits = key_bits
         self._server_kwargs = dict(server_kwargs or {})
-        # Whole-world runs should not grow audit logs without bound; short
-        # tests never come near this, and callers can override (None =
-        # unlimited, the AgentServer default).
-        self._server_kwargs.setdefault("audit_capacity", 100_000)
+        # Whole-world runs should not grow audit logs without bound; the
+        # ring keeps the newest records (24-32 per server per wave of 8
+        # tours).  Callers can override (None = unlimited, the
+        # AgentServer default).
+        self._server_kwargs.setdefault("audit_capacity", 4096)
         # Convenience: a SupervisorConfig here puts every server under
         # resource supervision (equivalent to server_kwargs["supervision"]).
         if supervision is not None:

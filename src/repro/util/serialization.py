@@ -102,7 +102,8 @@ _DECODERS: dict[str, type] = {}
 _INTERN_TYPES: set[type] = set()
 _ENCODE_CACHE: dict[Any, bytes] = {}
 _DECODE_CACHE: dict[tuple[str, bytes], Any] = {}
-_INTERN_CAPACITY = 4096
+# A wave of 8 tours interns 64 frames each way; a miss only re-codes one.
+_INTERN_CAPACITY = 512
 
 
 def register_serializable(

@@ -141,6 +141,35 @@ def test_each_host_rsa_verifies_a_link_once(hosts, image, monkeypatch):
     assert seen_again_at_b.count(newest.signature) == 1
 
 
+def test_a_host_does_not_rsa_verify_its_own_seal(hosts, image, monkeypatch):
+    """On A → B → A, A's arrival check trusts the link A signed itself and
+    RSA-verifies only B's."""
+    a, b, _ = hosts
+    checked: list[bytes] = []
+    verify = PublicKey.verify
+
+    def counting(key, digest, signature):
+        checked.append(signature)
+        return verify(key, digest, signature)
+
+    monkeypatch.setattr(PublicKey, "verify", counting)
+    at_b = sealed_hop(a, image, B)
+    b.verify_arrival(at_b, peer=A)
+    back = sealed_hop(b, at_b, A)
+    own, theirs = back.attributes[APPRAISAL_ATTRIBUTE]
+    checked.clear()
+    a.verify_arrival(back, peer=B)
+    assert own.signature not in checked
+    assert checked.count(theirs.signature) == 1
+    # Only the exact (key, tag, signature) A made is trusted: its
+    # signature on another body still goes to RSA, and fails.
+    forged = dataclasses.replace(own, timestamp=own.timestamp + 1.0)
+    assert not a.verdicts.signature_ok(
+        forged.certificate.public_key, forged.tag(), forged.signature
+    )
+    assert own.signature in checked
+
+
 def test_state_tamper_after_seal_is_detected(hosts, image):
     a, b, _ = hosts
     outgoing = sealed_hop(a, image, B)

@@ -5,7 +5,7 @@ from __future__ import annotations
 import pytest
 
 from repro.crypto.cert import CertificateAuthority
-from repro.crypto.keys import KeyPair
+from repro.crypto.keys import KeyPair, PublicKey
 from repro.crypto.trust import TrustAnchor, TrustStore
 from repro.errors import CredentialError, CredentialExpiredError
 from repro.util.clock import VirtualClock
@@ -69,6 +69,38 @@ def test_expired_certificate_rejected(clock, authorities, keys):
     cert = east.issue("urn:principal:e.org/alice", keys.public, lifetime=10.0)
     clock.advance(11.0)
     with pytest.raises(CredentialExpiredError):
+        store.validate(cert)
+
+
+def test_one_validation_runs_one_rsa_verify(clock, authorities, keys,
+                                           monkeypatch):
+    """The anchor's self-signature was checked by ``add_anchor``; a
+    validation verifies only the certificate's own signature."""
+    east, *_ = authorities
+    store = TrustStore.of(clock, east)
+    cert = east.issue("urn:principal:e.org/alice", keys.public)
+    verifies = []
+    verify = PublicKey.verify
+
+    def counting(key, digest, signature):
+        verifies.append(key)
+        return verify(key, digest, signature)
+
+    monkeypatch.setattr(PublicKey, "verify", counting)
+    store.validate(cert)
+    assert verifies == [east.public_key]
+
+
+def test_expired_anchor_rejected(clock, keys):
+    short = CertificateAuthority(
+        "ca-short", make_rng(7, "short"), clock, lifetime=100.0
+    )
+    store = TrustStore.of(clock, short)
+    clock.advance(90.0)
+    cert = short.issue("urn:principal:s.org/alice", keys.public)
+    store.validate(cert)
+    clock.advance(20.0)  # the leaf is still in its window, the root is not
+    with pytest.raises(CredentialExpiredError, match="ca-short"):
         store.validate(cert)
 
 

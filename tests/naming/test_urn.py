@@ -84,6 +84,16 @@ class TestValueSemantics:
         urn = URN.parse("urn:resource:store.com/quote-db")
         assert decode(encode(urn)) == urn
 
+    def test_text_is_built_once(self):
+        urn = URN.make("Agent", "UMN.edu", "x/y")
+        assert str(urn) is str(urn)
+        assert str(urn) == "urn:agent:umn.edu/x/y"
+        assert str(urn.child("z")) == "urn:agent:umn.edu/x/y/z"
+        # The stored text takes no part in the value.
+        assert repr(urn) == "URN(kind='agent', authority='umn.edu', local='x/y')"
+        assert urn == URN.parse("urn:agent:umn.edu/x/y")
+        assert hash(urn) == hash(("agent", "umn.edu", "x/y"))
+
     @settings(max_examples=50, deadline=None)
     @given(
         st.sampled_from(["agent", "server", "resource", "principal"]),

@@ -6,7 +6,9 @@ finished agent.  When a residency ends, its domain record becomes a
 the server drops the protection domain, thread group, binding records,
 binding context and proxies.  Revocation still reaches tokens that rode
 away from an ended domain, and status queries still answer for every
-agent the ring remembers.
+agent the ring remembers.  Caches of one-shot per-agent values (codec
+frames, digests, verdicts, tokens, grants) and the audit ring stay at
+bounds sized for the agents in flight.
 """
 
 from __future__ import annotations
@@ -16,19 +18,23 @@ import os
 
 import pytest
 
+from repro.agents import integrity
 from repro.agents.agent import Agent, register_trusted_agent_class
 from repro.agents.itinerary import Itinerary
 from repro.agents.patterns import ItineraryAgent
 from repro.apps.buffer import Buffer
+from repro.core.access_protocol import AccessProtocol
 from repro.core.domain_db import TOMBSTONE_RING, DomainTombstone
 from repro.core.policy import SecurityPolicy
 from repro.core.proxy import ResourceProxy
 from repro.core.token import CapabilityToken
+from repro.credentials.cache import credential_fingerprint
 from repro.credentials.rights import Rights
 from repro.errors import UnknownNameError
 from repro.naming.urn import URN
 from repro.sandbox.threadgroup import enter_group
 from repro.server.testbed import Testbed
+from repro.util import serialization
 
 SEED = int(os.environ.get("REPRO_STRESS_SEED", "11"))
 SERVERS = 4
@@ -113,6 +119,24 @@ def live_counts() -> dict[str, int]:
     return counts
 
 
+def assert_caches_within_bounds(bed: Testbed) -> None:
+    """Every cache of one-shot per-agent values is at or below its bound."""
+    assert len(serialization._ENCODE_CACHE) <= 512
+    assert len(serialization._DECODE_CACHE) <= 512
+    for memo in (integrity._link_tag, integrity._credentials_digest,
+                 credential_fingerprint):
+        assert 0 < memo.cache_info().currsize <= 256, memo
+    for server in bed.servers:
+        assert 0 < len(server.admission.credential_cache) <= 256
+        assert 0 < len(server.token_authority._seen) <= 256
+        for name in server.registry.names():
+            resource = server.registry.lookup(name)
+            if isinstance(resource, AccessProtocol):
+                assert resource.grant_cache_stats()["size"] <= 256
+        assert server.audit.capacity == 4096
+        assert len(server.audit) <= 4096
+
+
 def test_three_hundred_waves_pin_no_more_than_thirty():
     bed = tour_world()
     first = tour_wave(bed, 0)
@@ -122,6 +146,10 @@ def test_three_hundred_waves_pin_no_more_than_thirty():
     for number in range(30, 300):
         latest = tour_wave(bed, number)
     after_300 = live_counts()
+    assert_caches_within_bounds(bed)
+    # Home writes more than 4096 audit records over 300 waves: its ring
+    # has dropped the oldest.
+    assert bed.home.audit.dropped > 0
 
     # Every tour finished, and nothing was lost on the way.
     assert bed.home.stats["agents_completed"] == 300 * AGENTS

@@ -73,7 +73,7 @@ def test_records_stamp_current_span_when_tracing():
 
 def test_testbed_default_is_bounded():
     bed = Testbed(1)
-    assert bed.home.audit.capacity == 100_000
+    assert bed.home.audit.capacity == 4096
     # Explicit override (including back to unlimited) still works.
     bed2 = Testbed(1, server_kwargs={"audit_capacity": None})
     assert bed2.home.audit.capacity is None
