@@ -103,7 +103,17 @@ _INTERN_TYPES: set[type] = set()
 _ENCODE_CACHE: dict[Any, bytes] = {}
 _DECODE_CACHE: dict[tuple[str, bytes], Any] = {}
 # A wave of 8 tours interns 64 frames each way; a miss only re-codes one.
+# Least recently used first: a hit moves its frame to the young end, so
+# the certificates, keys and names every agent shares stay while one-shot
+# link frames age out.
 _INTERN_CAPACITY = 512
+
+
+def _intern(cache: dict, key: Any, value: Any) -> None:
+    if len(cache) >= _INTERN_CAPACITY:
+        for stale in list(cache)[: _INTERN_CAPACITY // 4]:
+            cache.pop(stale, None)
+    cache[key] = value
 
 
 def register_serializable(
@@ -264,8 +274,9 @@ def _encode_object(out: bytearray, value: Any, depth: int, active: set[int]) -> 
         )
     interned = kind in _INTERN_TYPES
     if interned:
-        cached = _ENCODE_CACHE.get(value)
+        cached = _ENCODE_CACHE.pop(value, None)
         if cached is not None:
+            _ENCODE_CACHE[value] = cached
             out += cached
             return
     marker = id(value)
@@ -280,9 +291,7 @@ def _encode_object(out: bytearray, value: Any, depth: int, active: set[int]) -> 
     _write_uvarint(out, len(state))
     out += state
     if interned:
-        if len(_ENCODE_CACHE) >= _INTERN_CAPACITY:
-            _ENCODE_CACHE.clear()
-        _ENCODE_CACHE[value] = bytes(out[start:])
+        _intern(_ENCODE_CACHE, value, bytes(out[start:]))
 
 
 def _encode_one(value: Any, depth: int, active: set[int]) -> bytes:
@@ -419,8 +428,9 @@ def _decode_object(
     interned = cls in _INTERN_TYPES
     if interned:
         key = (name, data[pos:end])
-        cached = _DECODE_CACHE.get(key)
+        cached = _DECODE_CACHE.pop(key, None)
         if cached is not None:
+            _DECODE_CACHE[key] = cached
             return cached, end
     state, state_end = _decode_from(data, pos, depth + 1, spans)
     if state_end != end:
@@ -432,9 +442,7 @@ def _decode_object(
     except Exception as exc:
         raise SerializationError(f"from_state failed for {name!r}: {exc}") from exc
     if interned:
-        if len(_DECODE_CACHE) >= _INTERN_CAPACITY:
-            _DECODE_CACHE.clear()
-        _DECODE_CACHE[key] = obj
+        _intern(_DECODE_CACHE, key, obj)
     return obj, end
 
 

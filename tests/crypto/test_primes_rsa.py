@@ -2,11 +2,14 @@
 
 from __future__ import annotations
 
+import math
+import os
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.crypto import rsa
+from repro.crypto import primes, rsa
 from repro.crypto.hashing import sha256
 from repro.crypto.primes import generate_prime, is_probable_prime
 from repro.errors import CryptoError, SignatureError
@@ -64,6 +67,85 @@ class TestPrimes:
             return True
 
         assert is_probable_prime(n) == trial(n)
+
+
+# The smallest strong pseudoprime to all twelve fixed witnesses (psi_12).
+PSI_12 = 3_317_044_064_679_887_385_961_981
+
+STRESS_SEED = int(os.environ.get("REPRO_STRESS_SEED", "101"))
+
+SMALL_ODD_PRIMES = [n for n in range(3, primes._SIEVE_LIMIT, 2)
+                    if all(n % p for p in range(3, math.isqrt(n) + 1, 2))]
+
+
+class TestPrimeErrorBounds:
+    def test_psi_12_passes_every_fixed_witness(self):
+        d, r = primes._split(PSI_12)
+        for a in primes._DETERMINISTIC_WITNESSES:
+            assert not primes._miller_rabin_witness(PSI_12, a, d, r)
+
+    def test_psi_12_rejected_by_the_random_rounds(self):
+        assert not is_probable_prime(PSI_12)
+        assert not is_probable_prime(PSI_12, make_rng(STRESS_SEED, "psi12"))
+
+    @pytest.mark.parametrize("bits, rounds", [(192, 16), (256, 12), (512, 6)])
+    def test_dlp_rounds_are_the_smallest_that_meet_the_target(self, bits, rounds):
+        assert primes._random_rounds(bits) == rounds
+        assert 3 <= rounds <= bits / 9
+        assert primes._dlp_log2_bound(bits, rounds) <= -81
+        assert primes._dlp_log2_bound(bits, rounds - 1) > -81
+
+    def test_no_dlp_rounds_below_171_bits(self):
+        assert primes._random_rounds(171) is not None
+        for bits in (8, 20, 21, 64, 128, 160, 170):
+            assert primes._random_rounds(bits) is None
+
+    @staticmethod
+    def _rounds_on_accepted_prime(monkeypatch, bits: int) -> int:
+        calls: list[int] = []
+        witness = primes._miller_rabin_witness
+
+        def counting(n, a, d, r):
+            calls.append(n)
+            return witness(n, a, d, r)
+
+        monkeypatch.setattr(primes, "_miller_rabin_witness", counting)
+        p = generate_prime(bits, make_rng(STRESS_SEED, f"rounds-{bits}"))
+        return calls.count(p)
+
+    @pytest.mark.parametrize("bits, rounds", [(192, 17), (256, 13)])
+    def test_generated_prime_runs_base_2_then_dlp_rounds(self, monkeypatch, bits, rounds):
+        assert self._rounds_on_accepted_prime(monkeypatch, bits) == rounds
+
+    @pytest.mark.parametrize("bits", [128, 170])
+    def test_sizes_without_dlp_rounds_get_the_worst_case_count(self, monkeypatch, bits):
+        # Twelve fixed witnesses plus the 40 random rounds of caller input.
+        assert self._rounds_on_accepted_prime(monkeypatch, bits) == 12 + 40
+
+    @pytest.mark.parametrize("bits", [8, 11, 12])
+    def test_candidates_below_the_sieve_limit_can_be_sieve_primes(self, bits):
+        # Every 8-bit prime divides the sieve product; it must still be drawn.
+        for seed in range(20):
+            p = generate_prime(bits, make_rng(seed, "small"))
+            assert p.bit_length() == bits
+            assert all(p % q for q in range(2, math.isqrt(p) + 1))
+
+    def test_sieve_product_is_the_odd_primes_below_the_limit(self):
+        assert primes._SIEVE_PRODUCT == math.prod(SMALL_ODD_PRIMES)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(min_value=1, max_value=2**256))
+    def test_gcd_sieve_agrees_with_trial_division(self, n):
+        has_factor = any(n % p == 0 for p in SMALL_ODD_PRIMES)
+        assert (math.gcd(n, primes._SIEVE_PRODUCT) != 1) == has_factor
+
+    @pytest.mark.parametrize("bits", [192, 256])
+    def test_generated_primes_pass_the_worst_case_test(self, bits):
+        rng = make_rng(STRESS_SEED, f"generated-{bits}")
+        for _ in range(200):
+            p = generate_prime(bits, rng)
+            assert p.bit_length() == bits
+            assert is_probable_prime(p)
 
 
 class TestRsa:

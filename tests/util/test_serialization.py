@@ -314,3 +314,27 @@ def test_property_encoding_is_canonical_fixed_point(value):
 def test_property_dict_order_canonical(d):
     shuffled = dict(reversed(list(d.items())))
     assert encode(d) == encode(shuffled)
+
+
+# ---------------------------------------------------------------------------
+# Intern tables
+# ---------------------------------------------------------------------------
+
+
+def test_a_frame_used_every_wave_outlives_one_shot_frames():
+    # 20 waves of 64 one-shot frames overflow the 512-entry tables more
+    # than twice; the frame every wave uses must stay interned throughout.
+    from repro.agents.itinerary import Stop
+    from repro.util import serialization
+
+    shared = Stop("urn:server:shared")
+    frame = encode(shared)
+    instance = decode(frame)
+    for wave in range(20):
+        for agent in range(64):
+            decode(encode(Stop(f"urn:server:wave-{wave}-agent-{agent}")))
+        assert shared in serialization._ENCODE_CACHE  # an encode hit
+        assert encode(shared) == frame
+        assert decode(frame) is instance  # a decode hit
+        assert len(serialization._ENCODE_CACHE) <= 512
+        assert len(serialization._DECODE_CACHE) <= 512
