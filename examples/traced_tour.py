@@ -13,10 +13,10 @@ Run:  python examples/traced_tour.py [output-dir]
 Writes to the output dir (default: a fresh temp dir):
   trace.json   Chrome trace-event file (load in chrome://tracing or Perfetto)
   trace.jsonl  one finished span per line, for ad-hoc jq/grep analysis
-  scrape.txt   the unified metrics registry, flattened to text
+  scrape.txt   every host's counters (and the world's faults.*), as text
 
-Exits non-zero if any span is left unclosed — CI runs this as the
-tracing smoke test.
+Exits non-zero if any span is left unclosed or the scrape carries no
+``access.*`` counter — CI runs this as the tracing smoke test.
 """
 
 import pathlib
@@ -68,7 +68,6 @@ def main() -> None:
         },
     )
     recorder = bed.start_tracing()
-    bed.start_metrics()
     # Extra adversity on the first leg, annotated into the trace.
     bed.faults().loss_burst(bed.home.name, bed.servers[1].name,
                             at=0.0, duration=5.0, loss_rate=0.5)
@@ -122,7 +121,10 @@ def main() -> None:
     # 5. Export the artifacts.
     recorder.export_chrome(str(out / "trace.json"))
     recorder.export_jsonl(str(out / "trace.jsonl"))
-    (out / "scrape.txt").write_text(bed.render_metrics() + "\n")
+    scrape = bed.render_metrics()
+    # Every counter is a host's: the mailbox host's access counts are in.
+    assert "access." in scrape, "no access.* counters scraped"
+    (out / "scrape.txt").write_text(scrape + "\n")
     print(f"artifacts in {out}: trace.json trace.jsonl scrape.txt")
 
 

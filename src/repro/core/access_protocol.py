@@ -238,8 +238,7 @@ class AccessProtocol:
                 if span is not None:
                     span.set_attribute("deny_rules", list(grant.matched_rules))
                     span.set_status("error", reason)
-                if _obs.METRICS_ON:
-                    _obs.METRICS.inc("proxy_grants_denied", resource=target)
+                self._authority().stats.add("grants_denied")
                 if context.audit is not None:
                     context.audit.record(
                         context.domain_id, "resource.get_proxy", target, False,
@@ -271,11 +270,9 @@ class AccessProtocol:
         a token whose MAC does not verify is rejected outright.
         """
         target = type(self).__name__
+        authority = self._authority()
         if str(credentials.agent) != token.grantee:
-            if _obs.METRICS_ON:
-                _obs.METRICS.inc(
-                    "capability_redeem_misses", resource=target, reason="theft"
-                )
+            authority.stats.add("redeem_misses_theft")
             if context.audit is not None:
                 context.audit.record(
                     context.domain_id, "resource.redeem_token", target, False,
@@ -288,7 +285,6 @@ class AccessProtocol:
                 resource=target,
                 domain=context.domain_id,
             )
-        authority = self._authority()
         authority.authenticate(token)  # TokenInvalidError on tamper
         if (
             token.resource_kind != target
@@ -296,10 +292,7 @@ class AccessProtocol:
             or token.iface_digest != interface_digest(type(self))
             or not authority.is_fresh(token, context.clock.now())
         ):
-            if _obs.METRICS_ON:
-                _obs.METRICS.inc(
-                    "capability_redeem_misses", resource=target, reason="stale"
-                )
+            authority.stats.add("redeem_misses_stale")
             return self.get_proxy(credentials, context)
         grant = ProxyGrant(
             enabled=methods_of(type(self), token.mask),
@@ -383,11 +376,10 @@ class AccessProtocol:
         if context.server_domain_id not in self._proxy_admin_domains:
             self._proxy_admin_domains |= {context.server_domain_id}
         if redeemed:
-            metric, operation = "capability_redeem_hits", "resource.redeem_token"
+            metric, operation = "redeem_hits", "resource.redeem_token"
         else:
-            metric, operation = "proxy_grants_issued", "resource.get_proxy"
-        if _obs.METRICS_ON:
-            _obs.METRICS.inc(metric, resource=target)
+            metric, operation = "grants_issued", "resource.get_proxy"
+        self._authority().stats.add(metric)
         if context.audit is not None:
             context.audit.record(
                 domain_id, operation, target, True,
@@ -449,8 +441,7 @@ class AccessProtocol:
           ``get_proxy``).
         """
         target = type(self).__name__
-        if _obs.METRICS_ON:
-            _obs.METRICS.inc("capability_tokens_refreshed", resource=target)
+        self._authority().stats.add("refreshed")
         grant = self._grant_for(proxy._credentials)
         if not grant.enabled or grant.metered:
             proxy._revoked = True
@@ -518,7 +509,7 @@ class AccessProtocol:
             # One resource-epoch bump kills every outstanding token for
             # this resource — including copies that migrated away with
             # agents whose proxy objects are long collected.
-            self._authority().registry.bump_resource(self._resource_token_id())
+            self._authority().bump_resource(self._resource_token_id())
         self._issued.clear()
         return count
 
@@ -534,14 +525,14 @@ class AccessProtocol:
             return 0
         for proxy in bucket.live():
             proxy.revoke()  # PrivilegeError leaves the index intact
-        registry = self._authority().registry
+        authority = self._authority()
         for holder in bucket.holders:
             # Tokens are keyed by the *agent's* stable identity, so this
             # also invalidates copies carried to other servers.  A holder
             # epoch bump is deliberately broad (all of that agent's
             # tokens): innocent ones transparently re-validate and
             # re-mint at their next use.
-            registry.bump_holder(holder)
+            authority.bump_holder(holder)
         del self._issued[domain_id]
         return bucket.tracked
 
@@ -558,7 +549,7 @@ class AccessProtocol:
         """
         self._policy = policy
         self._grant_cache.clear()
-        self._authority().registry.bump_resource(self._resource_token_id())
+        self._authority().bump_resource(self._resource_token_id())
 
     @property
     def policy(self) -> SecurityPolicy:

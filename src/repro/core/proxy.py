@@ -52,7 +52,6 @@ execute this privileged method" (``admin_domains`` here).
 
 from __future__ import annotations
 
-import time
 from typing import TYPE_CHECKING, Any, Callable
 
 from repro.core.accounting import Meter
@@ -249,12 +248,7 @@ class ResourceProxy(Resource):
             _obs.TRACER.add_event(
                 "proxy.deny", method=method, reason=reason
             )
-        if _obs.METRICS_ON:
-            _obs.METRICS.inc(
-                "proxy_invocations_denied",
-                resource=self._target_name,
-                reason=reason,
-            )
+        self._ref._authority().stats.add(f"proxy_denied_{reason}")
         if self._audit is not None:
             self._audit.record(
                 self._grantee,
@@ -304,8 +298,7 @@ class ResourceProxy(Resource):
             _obs.annotate(
                 "proxy.revoke", self._target_name, grantee=self._grantee
             )
-        if _obs.METRICS_ON:
-            _obs.METRICS.inc("proxies_revoked", resource=self._target_name)
+        self._ref._authority().stats.add("proxies_revoked")
 
     def set_method_enabled(self, method: str, enabled: bool) -> None:
         """Selectively revoke or add one method (privileged)."""
@@ -430,28 +423,19 @@ def _bound_forwards(resource: Resource) -> dict[str, Callable[..., Any]]:
 def _observed_invoke(
     self: ResourceProxy, method: str, bit: int, args: tuple, kwargs: dict
 ) -> Any:
-    """Slow path: Fig. 6 step 6 as a span plus a latency histogram.
+    """Slow path: Fig. 6 step 6 as a span.
 
-    Lives out of line so the common (observability-off) forwarder body
-    stays exactly the pre-instrumentation handful of checks.
+    Lives out of line so the common (tracing-off) forwarder body stays
+    exactly the pre-instrumentation handful of checks.
     """
-    start_ns = time.perf_counter_ns() if _obs.METRICS_ON else 0
-    try:
-        with _obs.span(
-            "proxy.invoke",
-            resource=self._target_name,
-            method=method,
-            domain=self._grantee,
-            ring=RING_NAMES.get(self._ring, str(self._ring)),
-        ):
-            return self._dispatch(self, method, bit, args, kwargs)
-    finally:
-        if _obs.METRICS_ON:
-            _obs.METRICS.histogram(
-                "proxy_invoke_ns",
-                resource=self._target_name,
-                method=method,
-            ).observe(time.perf_counter_ns() - start_ns)
+    with _obs.span(
+        "proxy.invoke",
+        resource=self._target_name,
+        method=method,
+        domain=self._grantee,
+        ring=RING_NAMES.get(self._ring, str(self._ring)),
+    ):
+        return self._dispatch(self, method, bit, args, kwargs)
 
 
 def _checked_call(
@@ -531,7 +515,7 @@ def _mediated_call(
 
 def _make_forwarder(method: str, bit: int) -> Callable[..., Any]:
     def forwarder(self: ResourceProxy, *args: Any, **kwargs: Any) -> Any:
-        if _obs.ENABLED:
+        if _obs.TRACING:
             return _observed_invoke(self, method, bit, args, kwargs)
         return self._dispatch(self, method, bit, args, kwargs)
 

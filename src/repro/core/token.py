@@ -44,8 +44,8 @@ from dataclasses import dataclass, replace
 
 from repro.crypto.mac import HmacKey
 from repro.errors import TokenInvalidError
-from repro.obs import runtime as _obs
 from repro.sandbox.domain import RING_TRUSTED, RING_UNTRUSTED, RING_VERIFIED
+from repro.sim.monitor import Counter
 
 __all__ = [
     "RING_TRUSTED",
@@ -187,16 +187,12 @@ class EpochRegistry:
         """Invalidate every outstanding token minted to ``grantee``."""
         cell = self._cell(self._holders, grantee)
         cell.value += 1
-        if _obs.METRICS_ON:
-            _obs.METRICS.inc("capability_epoch_bumps", kind="holder")
         return cell.value
 
     def bump_resource(self, resource: str) -> int:
         """Invalidate every outstanding token minted for ``resource``."""
         cell = self._cell(self._resources, resource)
         cell.value += 1
-        if _obs.METRICS_ON:
-            _obs.METRICS.inc("capability_epoch_bumps", kind="resource")
         return cell.value
 
 
@@ -335,14 +331,11 @@ class TokenAuthority:
         self.ttl = ttl
         self.registry = registry if registry is not None else EpochRegistry()
         self._seen: dict[bytes, bytes] = {}
-        self.stats = {
-            "minted": 0,
-            "validate_warm": 0,
-            "validate_cold": 0,
-            "stale_epoch": 0,
-            "stale_expired": 0,
-            "rejected": 0,
-        }
+        #: This host's access-control counts: the authority's own
+        #: (minted, validate_warm/cold, stale_epoch/expired, rejected)
+        #: and those its resources and their proxies add (grants, redeems,
+        #: denials, revocations, epoch bumps).
+        self.stats = Counter()
 
     # -- minting ------------------------------------------------------------
 
@@ -381,9 +374,7 @@ class TokenAuthority:
         tag = self._mac.digest(packed)
         token = replace(token, tag=tag)
         self._remember(tag, packed)
-        self.stats["minted"] += 1
-        if _obs.METRICS_ON:
-            _obs.METRICS.inc("capability_tokens_minted", resource=resource_kind)
+        self.stats.add("minted")
         return token
 
     def _remember(self, tag: bytes, packed: bytes) -> None:
@@ -392,6 +383,19 @@ class TokenAuthority:
             for stale in list(seen)[: self._SEEN_MAX // 4]:
                 del seen[stale]
         seen[tag] = packed
+
+    # -- revocation ---------------------------------------------------------
+
+    def bump_holder(self, grantee: str) -> None:
+        """Stale every token minted to ``grantee``, on every host of the
+        registry; the bump is counted on this host."""
+        self.registry.bump_holder(grantee)
+        self.stats.add("holder_bumps")
+
+    def bump_resource(self, resource: str) -> None:
+        """Stale every token minted for ``resource`` (counted here)."""
+        self.registry.bump_resource(resource)
+        self.stats.add("resource_bumps")
 
     # -- validation ---------------------------------------------------------
 
@@ -403,16 +407,14 @@ class TokenAuthority:
         """
         packed = token.packed()
         if self._seen.get(token.tag) == packed:
-            self.stats["validate_warm"] += 1
+            self.stats.add("validate_warm")
             return packed
         if not self._mac.verify(packed, token.tag):
-            self.stats["rejected"] += 1
-            if _obs.METRICS_ON:
-                _obs.METRICS.inc("capability_tokens_rejected", reason="mac")
+            self.stats.add("rejected")
             raise TokenInvalidError(
                 f"capability token for {token.resource} failed authentication"
             )
-        self.stats["validate_cold"] += 1
+        self.stats.add("validate_cold")
         self._remember(token.tag, packed)
         return packed
 
@@ -427,13 +429,9 @@ class TokenAuthority:
             or self.registry.resource_cell(token.resource).value
             != token.resource_epoch
         ):
-            self.stats["stale_epoch"] += 1
-            if _obs.METRICS_ON:
-                _obs.METRICS.inc("capability_tokens_stale", reason="epoch")
+            self.stats.add("stale_epoch")
             return False
         if token.expires_at is not None and now > token.expires_at:
-            self.stats["stale_expired"] += 1
-            if _obs.METRICS_ON:
-                _obs.METRICS.inc("capability_tokens_stale", reason="expired")
+            self.stats.add("stale_expired")
             return False
         return True

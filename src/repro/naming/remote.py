@@ -28,7 +28,6 @@ from repro.naming.registry import (
 )
 from repro.naming.urn import URN
 from repro.net.secure_channel import SecureHost
-from repro.obs import runtime as _obs
 from repro.sim.kernel import Kernel
 from repro.sim.monitor import Counter
 from repro.sim.threads import SimThread
@@ -56,10 +55,11 @@ def fire_and_forget_relocate(
     The arrival path runs in kernel context and must not block on the
     network, but a relocation that silently never lands strands every
     subsequent ``env.locate`` of the agent.  A failure therefore (a)
-    bumps ``relocate_failed`` on ``stats``, (b) increments the global
-    ``ns_relocate_failed`` metric when a metrics registry is installed,
-    (c) writes an audit record when the hosting server's ``audit`` log is
-    passed, and (d) only then invokes the legacy ``on_fail`` callback.
+    bumps ``relocate_failed`` on ``stats`` (the stub's counters, scraped
+    as ``ns_client.*`` on its server), (b) writes an audit record when
+    the hosting server's ``audit`` log is passed, and (c) only then
+    invokes the ``on_fail`` callback (the server counts
+    ``ns_relocate_failed`` there).
     """
 
     def body() -> None:
@@ -68,8 +68,6 @@ def fire_and_forget_relocate(
         except (NamingError, NetworkError, ReproError) as exc:
             if stats is not None:
                 stats.add("relocate_failed")
-            if _obs.METRICS_ON:
-                _obs.METRICS.inc("ns_relocate_failed")
             if audit is not None:
                 audit.record(
                     str(name), "ns.relocate_async", new_location, False,

@@ -132,10 +132,7 @@ class AdmissionPolicy:
         """The protection ring for an already-validated image."""
         if self.ring_policy is None:
             return RING_VERIFIED
-        ring = self.ring_policy.classify(image)
-        if _obs.METRICS_ON:
-            _obs.METRICS.inc("admission_ring_assigned", ring=f"ring{ring}")
-        return ring
+        return self.ring_policy.classify(image)
 
     def validate(
         self,

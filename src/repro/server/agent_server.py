@@ -258,6 +258,7 @@ class AgentServer:
         self.telemetry.register_source("endpoint", self.endpoint.stats)
         self.telemetry.register_source("secure", self.secure.stats)
         self.telemetry.register_source("audit", self.audit)
+        self.telemetry.register_source("access", self.token_authority.stats)
         if self.supervisor is not None:
             self.telemetry.register_source("supervisor", self.supervisor.stats)
         if self.integrity is not None:
@@ -356,6 +357,10 @@ class AgentServer:
         admission checkpoint)."""
         domain_id = self._domain_ids.next()
         group = ThreadGroup(f"{self.name}/{domain_id}")
+        # Trust tier from admission (ring 1 unless a RingPolicy is
+        # installed) — picks the proxy dispatch path for this stay.
+        ring = self.admission.classify_ring(image)
+        self.stats.add(f"admitted_ring{ring}")
         namespace = None
         if not image.is_trusted_code:
             namespace = AgentNamespace(
@@ -370,9 +375,7 @@ class AgentServer:
             group,
             namespace=namespace,
             credentials=image.credentials,
-            # Trust tier from admission (ring 1 unless a RingPolicy is
-            # installed) — picks the proxy dispatch path for this stay.
-            ring=self.admission.classify_ring(image),
+            ring=ring,
         )
         with self.domain_db.privileged():
             self.domain_db.admit(domain, image.credentials, image.home_site)
@@ -860,7 +863,7 @@ class AgentServer:
                     # The agent stopped existing: one holder-epoch bump
                     # on its stable URN stales every token it was minted,
                     # here or on any host of the world.
-                    self.token_authority.registry.bump_holder(
+                    self.token_authority.bump_holder(
                         str(self.domain_db.get(domain_id).agent)
                     )
         self.binding.forget_domain(domain_id)
@@ -1073,7 +1076,7 @@ class AgentServer:
             # one holder-epoch bump makes every copy stale federation-wide
             # (redemption falls back to full authorization, which the
             # quarantined impostor cannot pass).
-            self.token_authority.registry.bump_holder(str(agent))
+            self.token_authority.bump_holder(str(agent))
         detail = f"{reason}: {exc}"
         if span is not None:
             span.set_status("error", f"refused: {exc}")

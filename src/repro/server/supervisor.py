@@ -294,10 +294,6 @@ class ResourceGuard:
         quota = self.supervisor.config.domain_grant_quota
         if quota is not None and held >= quota:
             self.supervisor.stats.add("grants_shed")
-            if _obs.METRICS_ON:
-                _obs.METRICS.inc(
-                    "supervisor_grants_shed", resource=self.resource
-                )
             raise ResourceOverloadedError(
                 f"domain {domain_id} already holds {held} grants of"
                 f" {self.resource} (quota {quota})",
@@ -426,12 +422,6 @@ class ResourceGuard:
         supervisor._check_budget(ticket.domain_id)
 
     def _note_shed(self, method: str, reason: str) -> None:
-        if _obs.METRICS_ON:
-            _obs.METRICS.inc(
-                "supervisor_invocations_shed",
-                resource=self.resource,
-                reason=reason,
-            )
         if _obs.TRACING:
             _obs.TRACER.add_event(
                 "supervisor.shed",
@@ -627,8 +617,6 @@ class ResourceSupervisor:
                 "supervisor.runaway_kill", domain_id,
                 reason=reason, revoked=revoked, killed_thread=True,
             )
-        if _obs.METRICS_ON:
-            _obs.METRICS.inc("supervisor_runaway_kills")
         return True
 
     # -- leases ---------------------------------------------------------------
@@ -704,10 +692,6 @@ class ResourceSupervisor:
         if _obs.TRACING:
             _obs.annotate(
                 "supervisor.health_transition", resource, old=old, new=new
-            )
-        if _obs.METRICS_ON:
-            _obs.METRICS.inc(
-                "supervisor_health_transitions", resource=resource, to=new
             )
 
     # -- reporting ------------------------------------------------------------

@@ -136,9 +136,9 @@ class Testbed:
             )
         if self_healing:
             self._server_kwargs.setdefault("recovery", True)
-        # The world's own instruments: hook-fed metrics and the fault
-        # injector.  Per-host counters live on each node's telemetry unit;
-        # scrape() merges the two.
+        # The world's own instruments: the fault injector's counters
+        # (``faults.*``).  Every other counter is a host's own, on its
+        # node's telemetry unit; scrape() merges the two.
         self.metrics = MetricsRegistry()
         self.tracer: Tracer | None = None
         self.collector: Any = None
@@ -292,6 +292,7 @@ class Testbed:
                 breaker_threshold=breaker_threshold,
                 breaker_reset=breaker_reset,
             )
+        if self._remote_ns or self._replicated_ns:
             server.telemetry.register_source(
                 "ns_client", server.name_service.stats
             )
@@ -458,21 +459,8 @@ class Testbed:
         return FlightRecorder(self.tracer)
 
     def stop_tracing(self) -> None:
-        """Disable tracing hooks; metrics hooks (if on) stay on."""
-        metrics = _obs.METRICS
+        """Disable the tracing hooks (counters are always on)."""
         _obs.uninstall()
-        if metrics is not None:
-            _obs.install(metrics=metrics)
-
-    def start_metrics(self) -> MetricsRegistry:
-        """Install this world's registry so hook-fed metrics flow.
-
-        Scraping per-host counters works without this — only the
-        first-class instruments (proxy latency histograms, deny counters)
-        need the hooks live.
-        """
-        _obs.install(metrics=self.metrics)
-        return self.metrics
 
     def scrape(self) -> dict[str, Any]:
         """Every metric in the world, flattened into one dict.

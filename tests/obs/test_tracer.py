@@ -189,14 +189,10 @@ def test_export_chrome_shape(tmp_path):
 
 
 def test_runtime_install_flags_and_partial_replace():
-    from repro.obs.metrics import MetricsRegistry
-
-    assert not runtime.ENABLED
+    assert not runtime.TRACING
     tracer, _ = make_tracer()
     runtime.install(tracer=tracer)
-    assert runtime.TRACING and not runtime.METRICS_ON and runtime.ENABLED
-    runtime.install(metrics=MetricsRegistry())
-    assert runtime.TRACING and runtime.METRICS_ON  # tracer untouched
+    assert runtime.TRACING
     assert runtime.TRACER is tracer
     runtime.uninstall()
-    assert not runtime.ENABLED and runtime.TRACER is None
+    assert not runtime.TRACING and runtime.TRACER is None
