@@ -14,8 +14,8 @@ PR 9's tentpole claims, pinned as numbers:
   to the total, ≥ 90% of it inside open spans (span coverage, 1 − gap
   share), and its collapsed flame stacks plus the gap sum to the total;
 * **off means off** — with the whole plane constructed but not started
-  (no tracer installed, no collector ticking, no SLO watchdog), the
-  S1-style warm enforcement path pays ≤ 2% overhead.
+  (no tracer installed, no collector ticking), the S1-style warm
+  enforcement path pays ≤ 2% overhead.
 
 ``python benchmarks/bench_o1_telemetry.py --quick`` runs the reduced CI
 gate: the same exactness checks on a 4-server world, the unclosed-span
@@ -200,10 +200,8 @@ def _warm_proxy():
 
 
 def _idle_plane() -> Testbed:
-    """The whole plane, started nowhere: a telemetry'd world and its SLO
-    watchdog, both idle."""
+    """The whole plane, started nowhere: a telemetry'd world, idle."""
     plane = Testbed(2, seed=SEED + 2)
-    plane.slo_monitor()
     plane.stop_tracing()
     return plane
 

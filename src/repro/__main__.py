@@ -123,54 +123,11 @@ def telemetry_diff(old_path: str, new_path: str, out=None) -> int:
 
 
 def chrome_from_jsonl(lines) -> dict[str, Any]:
-    """Span-JSONL records -> a Chrome trace-event document.
+    """Span-JSONL lines (blank ones skipped) -> a Chrome trace-event document,
+    through the same converter as :meth:`repro.obs.trace.Tracer.export_chrome`."""
+    from repro.obs.trace import chrome_trace
 
-    Mirrors :meth:`repro.obs.trace.Tracer.export_chrome`, but from the
-    serialized form — so traces exported on one machine convert on
-    another with nothing but this CLI.
-    """
-    events: list[dict[str, Any]] = []
-    for line in lines:
-        line = line.strip()
-        if not line:
-            continue
-        span = json.loads(line)
-        attributes = span.get("attributes", {})
-        pid = str(attributes.get("server", "repro"))
-        start = float(span["start"])
-        end = float(span["end"] if span.get("end") is not None else start)
-        events.append(
-            {
-                "name": span["name"],
-                "cat": span["name"].split(".", 1)[0],
-                "ph": "X",
-                "ts": start * 1e6,
-                "dur": (end - start) * 1e6,
-                "pid": pid,
-                "tid": span["trace_id"],
-                "args": {
-                    "span_id": span["span_id"],
-                    "parent_id": span.get("parent_id"),
-                    "status": span.get("status"),
-                    "status_detail": span.get("status_detail", ""),
-                    **attributes,
-                },
-            }
-        )
-        for ev in span.get("events", ()):
-            events.append(
-                {
-                    "name": f"{span['name']}/{ev['name']}",
-                    "cat": "event",
-                    "ph": "i",
-                    "ts": float(ev["time"]) * 1e6,
-                    "s": "t",
-                    "pid": pid,
-                    "tid": span["trace_id"],
-                    "args": dict(ev.get("attributes", {})),
-                }
-            )
-    return {"traceEvents": events, "displayTimeUnit": "ms"}
+    return chrome_trace(json.loads(line) for line in lines if line.strip())
 
 
 def telemetry_chrome(path: str, out_path: str | None) -> int:

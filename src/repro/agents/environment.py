@@ -88,22 +88,6 @@ class AgentEnvironment:
             raise AgentStateError("sleep() outside a simulated thread")
         thread.sleep(seconds)
 
-    # -- telemetry (read-only, for touring collector agents) ---------------------------
-
-    def telemetry_snapshot(self) -> dict | None:
-        """This host's metrics as a snapshot wire dict (None if unserved).
-
-        A safe read: the snapshot is a copy, carries no live references,
-        and exposes exactly what the host already serves any
-        authenticated peer over ``telemetry.scrape``.  Touring
-        collector agents (:class:`repro.obs.aggregate.CollectorAgent`)
-        accumulate these per hop.
-        """
-        unit = getattr(self._server, "telemetry", None)
-        if unit is None:
-            return None
-        return unit.snapshot().to_wire()
-
     # -- resources (the paper's primitives, section 4) ---------------------------------
 
     def get_resource(self, name: "URN | str", token: Any | None = None) -> Resource:

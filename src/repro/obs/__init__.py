@@ -6,16 +6,16 @@ Three pillars (see ``docs/observability.md``):
   spans whose context **propagates across agent migration** (carried in
   ``AgentImage.attributes`` like ``transfer_id``), exported as JSONL or
   Chrome trace-event JSON.
-* :mod:`repro.obs.metrics` — a process-wide :class:`MetricsRegistry`
-  (counters, gauges, log-bucket histograms) that also absorbs the
-  legacy per-object stat counters behind one labeled namespace.
+* :mod:`repro.obs.metrics` and :mod:`repro.obs.aggregate` — labeled
+  counters, gauges and log-bucket histograms.  Every count lives on the
+  host that counted it (its :class:`TelemetryUnit`), and a
+  :class:`TelemetryCollector` federates the hosts' scrapes.
 * :mod:`repro.obs.recorder` — :class:`FlightRecorder`, the query and
   assertion API over a tracer (``trace_of``, ``spans_where``, causal
   order checks, Fig. 6 protocol reconstruction, span-leak checks).
 
-Instrumentation hooks across the codebase are no-ops until
-:func:`install` flips the module-level flags in
-:mod:`repro.obs.runtime`; the convenient way in is
+Span hooks across the codebase are no-ops until :func:`install` sets
+:data:`repro.obs.runtime.TRACING`; the convenient way in is
 ``Testbed.start_tracing()``.
 """
 
@@ -33,29 +33,8 @@ from repro.obs.recorder import (
     FlightRecorder,
 )
 from repro.obs.runtime import install, uninstall
-from repro.obs.slo import (
-    AvailabilityObjective,
-    GoodputObjective,
-    InvariantObjective,
-    LatencyObjective,
-    SLOMonitor,
-    SLOStatus,
-    agent_conservation_residual,
-    audit_drop_residual,
-    replica_divergence_residual,
-)
+from repro.obs.slo import agent_conservation_residual
 from repro.obs.trace import Span, SpanContext, Tracer, WallClock
-
-
-def __getattr__(name: str):
-    # CollectorAgent pulls in the agent stack, which itself imports
-    # repro.obs — resolve it lazily to keep the package import acyclic.
-    if name == "CollectorAgent":
-        from repro.obs import aggregate
-
-        return aggregate.CollectorAgent
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-
 
 __all__ = [
     "Tracer",
@@ -75,16 +54,7 @@ __all__ = [
     "MetricSnapshot",
     "TelemetryUnit",
     "TelemetryCollector",
-    "CollectorAgent",
     "snapshot_delta",
-    # objectives (repro.obs.slo)
-    "SLOMonitor",
-    "SLOStatus",
-    "AvailabilityObjective",
-    "LatencyObjective",
-    "GoodputObjective",
-    "InvariantObjective",
+    # conservation residual (repro.obs.slo)
     "agent_conservation_residual",
-    "replica_divergence_residual",
-    "audit_drop_residual",
 ]

@@ -10,8 +10,8 @@ Prometheus federation does:
   registered once — and serves *cumulative* snapshots of it over the
   authenticated ``telemetry.scrape`` secure-channel op;
 * a :class:`TelemetryCollector` pulls those snapshots (kernel-scheduled
-  scrape rounds on a daemon tick, or hop-by-hop via the touring
-  :class:`CollectorAgent`) and materializes one cluster-level registry.
+  scrape rounds on a daemon tick, or one synchronous round) and
+  materializes one cluster-level registry.
 
 Counters travel **cumulative** on the wire and the collector computes
 deltas against the last value it saw per target.  Serving deltas would
@@ -42,7 +42,6 @@ __all__ = [
     "MetricSnapshot",
     "TelemetryUnit",
     "TelemetryCollector",
-    "CollectorAgent",
     "snapshot_delta",
 ]
 
@@ -322,8 +321,7 @@ class TelemetryCollector:
         """Fold one cumulative snapshot into the cluster registry.
 
         ``source_key`` identifies the delta baseline (defaults to the
-        snapshot's origin); the touring collector agent passes hop-local
-        snapshots through here with their origins intact.
+        snapshot's origin); :meth:`scrape_round` passes the target name.
         """
         key = source_key if source_key is not None else snapshot.origin
         last = self._last_counters.setdefault(key, {})
@@ -395,65 +393,3 @@ class TelemetryCollector:
         return MetricSnapshot.of(
             self.cluster, f"cluster:{self.via.name}", self.kernel.now()
         )
-
-
-# ---------------------------------------------------------------------------
-# The touring collector (scrape-by-visiting)
-# ---------------------------------------------------------------------------
-
-# The agent stack itself imports repro.obs (every module does, for the
-# tracing hooks), so importing repro.agents at module scope here would
-# close an import cycle.  CollectorAgent is built on first attribute
-# access instead — `from repro.obs.aggregate import CollectorAgent`
-# works as usual, just lazily.
-
-_COLLECTOR_AGENT_CLASS = None
-
-
-def _build_collector_agent():
-    global _COLLECTOR_AGENT_CLASS
-    if _COLLECTOR_AGENT_CLASS is not None:
-        return _COLLECTOR_AGENT_CLASS
-
-    from repro.agents.agent import Agent, register_trusted_agent_class
-
-    @register_trusted_agent_class
-    class CollectorAgent(Agent):
-        """A mobile agent that gathers telemetry hop by hop.
-
-        The pull collector needs a network path from its host to every
-        target; a *touring* collector needs only the ordinary
-        agent-transfer fabric — it visits each server, reads the local
-        :class:`TelemetryUnit` through the agent environment's safe
-        ``telemetry_snapshot`` accessor, and carries the accumulated
-        wire snapshots home in its state.  Feed the result to
-        :meth:`TelemetryCollector.absorb` (snapshots carry their
-        origins).
-
-        Launch state: ``tour`` — list of server names still to visit;
-        ``collected`` — accumulated snapshot wire dicts (start with
-        ``[]``).
-        """
-
-        tour: list
-        collected: list
-
-        def run(self):
-            snapshot = self.host.telemetry_snapshot()
-            if snapshot is not None:
-                self.collected.append(snapshot)
-            while self.tour:
-                next_stop = self.tour.pop(0)
-                if next_stop == self.host.server_name():
-                    continue
-                self.go(next_stop, "run")
-            self.complete(self.collected)
-
-    _COLLECTOR_AGENT_CLASS = CollectorAgent
-    return CollectorAgent
-
-
-def __getattr__(name: str):
-    if name == "CollectorAgent":
-        return _build_collector_agent()
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

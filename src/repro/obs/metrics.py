@@ -1,15 +1,17 @@
-"""A process-wide, labeled metrics namespace.
+"""A labeled metrics namespace: one per host, plus the world's faults.
 
-The repo accumulated ad-hoc :class:`repro.sim.monitor.Counter` objects —
+The repo's counts live on :class:`repro.sim.monitor.Counter` objects —
 ``AgentServer.stats``, transport ``call_timeouts``/``replies_duplicate``,
-secure-channel rejection tallies, fault-injector counts — each living on
-its own object with its own names.  :class:`MetricsRegistry` pulls them
-behind one namespace without touching their hot paths: a registered
-*source* is read lazily at :meth:`scrape` time (zero per-increment cost),
-while first-class counters, gauges and histograms are for new
-instrumentation (proxy invocation latency, deny counts).  First-class
-counters live in one :class:`repro.sim.monitor.Counter` keyed by
-``name{labels}``, so the repo has a single counter type.
+secure-channel rejection tallies, the token authority's ``access``
+counts — each on the host that counted it.  :class:`MetricsRegistry`
+pulls them behind one namespace without touching their hot paths: a
+registered *source* is read lazily at :meth:`scrape` time (zero
+per-increment cost).  Each host's registry is its
+:class:`~repro.obs.aggregate.TelemetryUnit`; ``Testbed.metrics`` holds
+only ``faults.*``.  Gauges are read at scrape time too, and histograms
+serve the collector's scrape latency.  First-class counters live in one
+:class:`repro.sim.monitor.Counter` keyed by ``name{labels}``, so the repo
+has a single counter type.
 
 Naming follows Prometheus conventions loosely: a metric is
 ``name{label=value,...}`` with labels sorted, e.g.

@@ -29,9 +29,9 @@ from __future__ import annotations
 import json
 import threading
 import time
-from typing import Any, NamedTuple
+from typing import Any, Iterable, NamedTuple
 
-__all__ = ["SpanContext", "Span", "Tracer", "WallClock"]
+__all__ = ["SpanContext", "Span", "Tracer", "WallClock", "chrome_trace"]
 
 
 class SpanContext(NamedTuple):
@@ -339,49 +339,15 @@ class Tracer:
     def export_chrome(self, path: str | None = None) -> dict[str, Any]:
         """Chrome trace-event JSON (``chrome://tracing`` / Perfetto).
 
-        Spans become complete ("X") events on a ``pid`` of their
-        ``server`` attribute (falling back to the tracer's service name)
-        and a ``tid`` of their trace id, so one agent's tour reads as one
-        row per server.  Span events and global annotations become
-        instant ("i") events; injected faults carry ``injected: true`` so
-        post-mortems separate them from organic failures.
+        The finished spans go through :func:`chrome_trace` (``pid``
+        falls back to the tracer's service name); global annotations
+        follow as instant ("i") events, and injected faults carry
+        ``injected: true`` so post-mortems separate them from organic
+        failures.
         """
-        events: list[dict[str, Any]] = []
-        for span in self.finished:
-            pid = str(span.attributes.get("server", self.service))
-            events.append(
-                {
-                    "name": span.name,
-                    "cat": span.name.split(".", 1)[0],
-                    "ph": "X",
-                    "ts": span.start * 1e6,
-                    "dur": ((span.end or span.start) - span.start) * 1e6,
-                    "pid": pid,
-                    "tid": span.trace_id,
-                    "args": {
-                        "span_id": span.span_id,
-                        "parent_id": span.parent_id,
-                        "status": span.status,
-                        "status_detail": span.status_detail,
-                        **span.attributes,
-                    },
-                }
-            )
-            for t, name, attrs in span.events:
-                events.append(
-                    {
-                        "name": f"{span.name}/{name}",
-                        "cat": "event",
-                        "ph": "i",
-                        "ts": t * 1e6,
-                        "s": "t",
-                        "pid": pid,
-                        "tid": span.trace_id,
-                        "args": {"span_id": span.span_id, **attrs},
-                    }
-                )
+        doc = chrome_trace((s.to_dict() for s in self.finished), self.service)
         for t, kind, detail, attrs in self.annotations:
-            events.append(
+            doc["traceEvents"].append(
                 {
                     "name": kind,
                     "cat": "annotation",
@@ -393,8 +359,59 @@ class Tracer:
                     "args": {"detail": detail, **attrs},
                 }
             )
-        doc = {"traceEvents": events, "displayTimeUnit": "ms"}
         if path is not None:
             with open(path, "w", encoding="utf-8") as fh:
                 json.dump(doc, fh)
         return doc
+
+
+def chrome_trace(
+    spans: Iterable[dict[str, Any]], service: str = "repro"
+) -> dict[str, Any]:
+    """Span dicts (:meth:`Span.to_dict` / one JSONL line each) -> a Chrome
+    trace-event document.
+
+    Spans become complete ("X") events on a ``pid`` of their ``server``
+    attribute (falling back to ``service``) and a ``tid`` of their trace
+    id, so one agent's tour reads as one row per server.  Span events
+    become instant ("i") events on the same row.  An open span (``end``
+    None) gets zero duration.
+    """
+    events: list[dict[str, Any]] = []
+    for span in spans:
+        attributes = span.get("attributes", {})
+        pid = str(attributes.get("server", service))
+        start = span["start"]
+        end = span["end"] if span.get("end") is not None else start
+        events.append(
+            {
+                "name": span["name"],
+                "cat": span["name"].split(".", 1)[0],
+                "ph": "X",
+                "ts": start * 1e6,
+                "dur": (end - start) * 1e6,
+                "pid": pid,
+                "tid": span["trace_id"],
+                "args": {
+                    "span_id": span["span_id"],
+                    "parent_id": span.get("parent_id"),
+                    "status": span.get("status"),
+                    "status_detail": span.get("status_detail", ""),
+                    **attributes,
+                },
+            }
+        )
+        for ev in span.get("events", ()):
+            events.append(
+                {
+                    "name": f"{span['name']}/{ev['name']}",
+                    "cat": "event",
+                    "ph": "i",
+                    "ts": ev["time"] * 1e6,
+                    "s": "t",
+                    "pid": pid,
+                    "tid": span["trace_id"],
+                    "args": {"span_id": span["span_id"], **ev.get("attributes", {})},
+                }
+            )
+    return {"traceEvents": events, "displayTimeUnit": "ms"}

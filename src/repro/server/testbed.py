@@ -478,7 +478,7 @@ class Testbed:
         """The scrape as sorted ``key value`` text lines."""
         return render_scrape(self.scrape())
 
-    # -- cluster telemetry (federated scrape / SLOs) ----------------------------------
+    # -- cluster telemetry (federated scrape) ----------------------------------------------
 
     def telemetry_units(self) -> dict[str, Any]:
         """Every node serving ``telemetry.scrape`` (servers + directory
@@ -502,16 +502,9 @@ class Testbed:
         pulls every target each ``period`` of virtual time, as a daemon
         tick — it never keeps an otherwise-idle world alive.
         """
-        from repro.obs.aggregate import TelemetryCollector
-
         if self.collector is not None:
             raise ReproError("collector already started")
-        host = via or self.home
-        self.collector = TelemetryCollector(
-            host.secure,
-            self.telemetry_targets(),
-            local=host.telemetry,
-        )
+        self.collector = self._build_collector(via or self.home)
         self.collector.start(period)
         return self.collector
 
@@ -526,56 +519,18 @@ class Testbed:
         running world).  Starts an ad-hoc collector on first use if
         :meth:`start_collector` was never called.
         """
-        from repro.obs.aggregate import TelemetryCollector
-
         if self.collector is None:
-            self.collector = TelemetryCollector(
-                self.home.secure,
-                self.telemetry_targets(),
-                local=self.home.telemetry,
-            )
+            self.collector = self._build_collector(self.home)
         self.collector.scrape_round()
         return self.collector.scrape()
 
-    def slo_monitor(self):
-        """An :class:`~repro.obs.slo.SLOMonitor` pre-wired with this world's
-        conservation laws (agent conservation, audit drops; replica
-        divergence when the directory is replicated)."""
-        from repro.obs.slo import (
-            SLOMonitor,
-            agent_conservation_residual,
-            audit_drop_residual,
-            healed_conservation_residual,
-            replica_divergence_residual,
-        )
+    def _build_collector(self, host: AgentServer):
+        """A collector on ``host``'s secure channel over every telemetry target."""
+        from repro.obs.aggregate import TelemetryCollector
 
-        monitor = SLOMonitor(self.clock)
-        if self._self_healing:
-            # With crashes/drains in play the base law legitimately goes
-            # positive; the healed variant nets out recorded removals.
-            monitor.add_invariant(
-                "healed_conservation",
-                healed_conservation_residual(self.servers),
-                detail="an agent was lost or double-admitted through healing",
-            )
-        else:
-            monitor.add_invariant(
-                "agent_conservation",
-                agent_conservation_residual(self.servers),
-                detail="hosted != transfers_out + completed + residents",
-            )
-        monitor.add_invariant(
-            "audit_drops",
-            audit_drop_residual(self.servers),
-            detail="ring-buffer evictions lost security decisions",
+        return TelemetryCollector(
+            host.secure, self.telemetry_targets(), local=host.telemetry
         )
-        if self._replicated_ns:
-            monitor.add_invariant(
-                "replica_divergence",
-                replica_divergence_residual(self.name_service),
-                detail="directory replicas disagree",
-            )
-        return monitor
 
     # -- running -----------------------------------------------------------------------
 

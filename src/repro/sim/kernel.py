@@ -29,9 +29,9 @@ class EventHandle:
 
     A *daemon* event (``daemon=True``) never keeps the simulation alive:
     :meth:`Kernel.run` stops once only daemon events remain in the
-    queue.  Periodic background machinery — telemetry scrapers and SLO
-    sweeps — schedules itself as daemon so a world that has finished its
-    real work still quiesces.
+    queue.  Periodic background machinery — telemetry scrape rounds,
+    heartbeats — schedules itself as daemon so a world that has finished
+    its real work still quiesces.
     """
 
     __slots__ = (
@@ -223,8 +223,8 @@ class Kernel:
     ) -> RepeatingEvent:
         """Run ``action(*args)`` every ``interval`` virtual seconds.
 
-        The periodic tick hook behind continuous telemetry: metric
-        scrape rounds and SLO sweeps ride this.
+        The periodic tick hook behind background machinery: metric
+        scrape rounds, heartbeats and escrow checkpoints ride this.
         Daemon by default — a repeating foreground event would make
         ``run()`` non-terminating; pass ``daemon=False`` only together
         with ``run(until=...)``.

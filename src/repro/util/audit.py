@@ -122,11 +122,10 @@ class AuditLog:
         """Metrics-source protocol (``register_source("audit", log)``).
 
         ``dropped`` is the load-bearing number: silent ring-buffer
-        evictions mean security decisions went unrecorded, which the
-        SLO watchdog (:func:`repro.obs.slo.audit_drop_residual`) treats
-        as a violated conservation law.  ``records`` and ``occupancy``
-        are floats (gauge semantics — a ring buffer's fill level is
-        instantaneous, not monotone).
+        evictions mean security decisions went unrecorded, so it should
+        read zero in a scrape (``audit.dropped{server=...}``).
+        ``records`` and ``occupancy`` are floats (gauge semantics — a
+        ring buffer's fill level is instantaneous, not monotone).
         """
         capacity = self.capacity
         occupancy = (

@@ -304,27 +304,3 @@ def test_scheduled_collector_rounds_run_as_daemon_ticks():
     bed.run()
     assert bed.kernel.now() == t_end
     bed.stop_collector()
-
-
-def test_touring_collector_agent_gathers_per_hop_snapshots():
-    from repro.obs.aggregate import CollectorAgent
-
-    bed = Testbed(3, seed=93)
-    names = [s.name for s in bed.servers]
-    agent = CollectorAgent()
-    agent.tour = names[1:]
-    agent.collected = []
-    bed.launch(agent, Rights.none())
-    bed.run()
-    report = bed.home.reports[-1]["payload"]
-    snaps = [MetricSnapshot.from_wire(w) for w in report]
-    assert [s.origin for s in snaps] == names
-    collector = _collector()
-    for snap in snaps:
-        collector.absorb(snap)
-    scrape = collector.scrape()
-    hosted = sum(
-        v for k, v in scrape.items() if k.startswith("server.agents_hosted")
-    )
-    # One touring agent, hosted once per visited server.
-    assert hosted == len(names)

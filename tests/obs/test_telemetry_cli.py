@@ -79,7 +79,37 @@ def test_chrome_from_jsonl_mirrors_tracer_export(tmp_path):
     assert x[0]["dur"] == native_x[0]["dur"]
     instants = [e for e in rebuilt["traceEvents"] if e["ph"] == "i"]
     assert instants[0]["name"] == "rpc.call/sent"
-    assert instants[0]["args"] == {"bytes": 12}
+    assert instants[0]["args"] == {"span_id": span.span_id, "bytes": 12}
+
+
+def test_telemetry_chrome_equals_export_chrome_without_annotations(tmp_path):
+    clock = VirtualClock()
+    tracer = Tracer(clock=clock)  # default service: the CLI's pid fallback
+    outer = tracer.start_span("agent.tour", server="s0")
+    inner = tracer.start_span("secure.call", peer="s1")
+    clock.set(0.1)
+    tracer.add_event("retry", attempt=2)
+    tracer.annotate("loss_burst", "s0->s1", injected=True)
+    clock.set(0.2)
+    tracer.end_span(inner)
+    clock.set(0.3)
+    tracer.end_span(outer)
+    trace = tmp_path / "trace.jsonl"
+    tracer.export_jsonl(str(trace))
+    assert main(["telemetry", "chrome", str(trace)]) == 0
+    cli = json.loads((tmp_path / "trace.chrome.json").read_text())
+
+    native = tracer.export_chrome()
+    annotations = [e for e in native["traceEvents"] if e["cat"] == "annotation"]
+    assert [e["name"] for e in annotations] == ["loss_burst"]
+    native["traceEvents"] = [
+        e for e in native["traceEvents"] if e["cat"] != "annotation"
+    ]
+    assert cli == native
+    assert {e["pid"] for e in cli["traceEvents"]} == {"s0", "repro"}
+    assert [e["args"] for e in cli["traceEvents"] if e["ph"] == "i"] == [
+        {"span_id": inner.span_id, "attempt": 2}
+    ]
 
 
 def test_chrome_handles_open_spans_and_blank_lines():
